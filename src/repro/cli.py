@@ -44,9 +44,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         from repro.perf.diskcache import persistent_kernel_caches
 
         # Resolve --backend / $MAE_BACKEND once, up front: every
-        # estimator call in the command (and every pool worker it
-        # starts) inherits the selection.  An explicitly named but
-        # unavailable backend fails here with a clean error.
+        # estimator call in the command inherits the selection.  An
+        # explicitly named but unavailable backend fails here with a
+        # clean error.
         apply_cli_backend(getattr(args, "backend", None))
 
         # Opt-in cross-process warm start: load the kernel caches before
@@ -213,8 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         command = sub.add_parser(name, help=help_text)
         command.set_defaults(handler=handler)
-        if name in ("table1", "table2"):
-            _add_jobs_argument(command)
         if name == "runtime":
             command.add_argument(
                 "--trace", default=None, metavar="FILE",
@@ -228,15 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="sharing = A1 track sharing; rows = A3 row sweep; "
              "oracle = oracle-quality study",
     )
-    _add_jobs_argument(ablation)
     ablation.set_defaults(handler=_cmd_ablation)
 
     bench = sub.add_parser(
         "bench",
         help="run the batch-engine perf benchmark and write BENCH_*.json",
     )
-    _add_jobs_argument(bench)
-    bench.set_defaults(jobs=4)  # the parallel phase is the point here
     bench.add_argument("--smoke", action="store_true",
                        help="tiny run for CI: validates the harness and "
                             "the emitted record, no timing claims")
@@ -246,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--assert-plan-speedup", type=float, default=None,
                        metavar="X",
                        help="fail unless the compiled-plan path is at "
-                            "least X times the batch jobs=1 path")
+                            "least X times the estimate_batch path")
     bench.add_argument("--assert-backend-speedup", type=float, default=None,
                        metavar="X",
                        help="fail unless the numpy backend's batched "
@@ -289,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
              "or a Verilog library file",
     )
     _add_process_argument(floorplan)
-    _add_jobs_argument(floorplan)
     floorplan.add_argument(
         "--portfolio", default=None, metavar="CSV",
         help="comma-separated searcher subset "
@@ -375,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-inflight", type=int, default=128, metavar="N",
                        help="concurrently handled HTTP requests before "
                             "the server answers 429 (default: 128)")
-    _add_jobs_argument(serve)
     serve.set_defaults(handler=_cmd_serve)
 
     eco = sub.add_parser(
@@ -452,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "demand artifact "
                              "(VERIFY_congestion_envelope.json format) "
                              "to FILE")
-    _add_jobs_argument(verify)
     verify.set_defaults(handler=_cmd_verify)
 
     synth = sub.add_parser(
@@ -517,15 +509,6 @@ def _add_process_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--tech", choices=sorted(builtin_processes()), default="nmos",
         help="fabrication process database (default: nmos)",
-    )
-
-
-def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="fan estimation tasks across N worker processes "
-             "(default: 1, the deterministic serial path; results are "
-             "identical at any job count)",
     )
 
 
@@ -801,13 +784,13 @@ def _cmd_process_export(args) -> None:
 def _cmd_table1(args) -> None:
     from repro.experiments.table1 import format_table1, run_table1
 
-    print(format_table1(run_table1(jobs=args.jobs)))
+    print(format_table1(run_table1()))
 
 
 def _cmd_table2(args) -> None:
     from repro.experiments.table2 import format_table2, run_table2
 
-    print(format_table2(run_table2(jobs=args.jobs)))
+    print(format_table2(run_table2()))
 
 
 def _cmd_central_row(args) -> None:
@@ -875,15 +858,15 @@ def _cmd_ablation(args) -> None:
 
     if args.which == "sharing":
         print(ablations.format_track_sharing(
-            ablations.run_track_sharing_ablation(jobs=args.jobs)
+            ablations.run_track_sharing_ablation()
         ))
     elif args.which == "rows":
         print(ablations.format_row_sweep(
-            ablations.run_row_sweep(jobs=args.jobs)
+            ablations.run_row_sweep()
         ))
     else:
         print(ablations.format_oracle_quality(
-            ablations.run_oracle_quality_ablation(jobs=args.jobs)
+            ablations.run_oracle_quality_ablation()
         ))
 
 
@@ -897,8 +880,7 @@ def _cmd_bench(args) -> None:
     )
 
     record = run_bench(
-        jobs=args.jobs, smoke=args.smoke,
-        portfolio_modules=args.portfolio_modules,
+        smoke=args.smoke, portfolio_modules=args.portfolio_modules,
     )
     path = write_bench_record(record, args.output)
     record = load_bench_record(path)
@@ -1021,7 +1003,6 @@ def _cmd_floorplan(args) -> None:
         routability_weight=args.routability_weight,
         row_window=args.row_window,
         checkpoint_every=args.checkpoint_every,
-        jobs=args.jobs,
         spot_checks=args.spot_checks,
     )
     resume = load_checkpoint(args.resume) if args.resume else None
@@ -1077,7 +1058,6 @@ def _cmd_serve(args) -> None:
         queue_limit=args.queue_limit,
         coalesce_limit=args.coalesce_limit,
         request_timeout=args.timeout,
-        jobs=args.jobs,
     ))
     server = MAEServer(
         engine, host=args.host, port=args.port,
@@ -1209,7 +1189,6 @@ def _cmd_verify(args) -> None:
     options = VerifyOptions(
         seeds=args.seeds,
         base_seed=args.base_seed,
-        jobs=args.jobs,
         check_envelope=not args.skip_envelope,
         checks=tuple(args.checks) if args.checks else None,
     )

@@ -7,6 +7,9 @@ the paper's published behaviour.
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
@@ -87,6 +90,17 @@ class EstimatorConfig:
     max_aspect: float = 2.0
 
     def __post_init__(self) -> None:
+        if self.rows is not None and type(self.rows) is not int:
+            object.__setattr__(self, "rows", _integer("rows", self.rows))
+        if type(self.max_rows) is not int:
+            object.__setattr__(
+                self, "max_rows", _integer("max_rows", self.max_rows)
+            )
+        _require_finite("track_sharing_factor", self.track_sharing_factor)
+        _require_finite("congestion_margin", self.congestion_margin)
+        _require_finite("max_aspect", self.max_aspect)
+        if self.port_pitch_override is not None:
+            _require_finite("port_pitch_override", self.port_pitch_override)
         if self.rows is not None and self.rows < 1:
             raise EstimationError(f"rows must be >= 1, got {self.rows}")
         if self.max_rows < 1:
@@ -139,3 +153,25 @@ class EstimatorConfig:
     def with_(self, **changes) -> "EstimatorConfig":
         """General copy-with-changes helper."""
         return replace(self, **changes)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as a plain int; ``bool`` and non-integers are rejected."""
+    if isinstance(value, bool):
+        raise EstimationError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise EstimationError(
+            f"{name} must be an integer, got {value!r}"
+        ) from None
+
+
+def _require_finite(name: str, value) -> None:
+    """Reject ``bool``, non-numbers, NaN and infinities."""
+    if type(value) is float or type(value) is int or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+    ):
+        if math.isfinite(value):
+            return
+    raise EstimationError(f"{name} must be a finite number, got {value!r}")

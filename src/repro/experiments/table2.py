@@ -53,13 +53,12 @@ def run_table2(
     config: Optional[EstimatorConfig] = None,
     oracle_schedule: Optional[AnnealingSchedule] = None,
     constrained_routing: bool = True,
-    jobs: int = 1,
 ) -> List[Table2Row]:
     """Run the Table 2 experiment and return its rows.
 
     The (module x row count) estimates come from one
-    :func:`estimate_batch` call (``jobs`` controls its process pool);
-    the place-and-route oracle runs serially per row.
+    :func:`estimate_batch` call; the place-and-route oracle runs per
+    row.
     """
     process = process or nmos_process()
     cases = cases if cases is not None else table2_suite()
@@ -72,7 +71,6 @@ def run_table2(
         [[config.with_rows(row_count) for row_count in case.row_counts]
          for case in cases],
         methodologies=("standard-cell",),
-        jobs=jobs,
     ))
 
     rows: List[Table2Row] = []

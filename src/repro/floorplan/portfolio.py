@@ -20,8 +20,7 @@ by racing a *portfolio* of searchers over a shared estimate table:
 
 The perf story is the hot path.  The ``portfolio`` engine prefills the
 table through :func:`repro.perf.batch.estimate_batch` (one scan per
-module, workers warm-started from the shared kernel/plan/triangle
-snapshot), serves misses through a per-module
+module), serves misses through a per-module
 :class:`repro.incremental.IncrementalEstimator` whose compiled
 :class:`~repro.perf.plan.EstimationPlan` is revision-stamped and reused
 across moves, and runs row windows through the batched NumPy row-sweep
@@ -87,7 +86,7 @@ class PortfolioConfig:
     """Knobs of one optimizer run.
 
     The identity fields (everything except ``checkpoint_every``,
-    ``jobs``, ``backend`` and ``spot_checks``, which only change *how*
+    ``backend`` and ``spot_checks``, which only change *how*
     the same trajectory is computed) are embedded in checkpoints; a
     resume against a different identity raises
     :class:`~repro.errors.CheckpointError`.
@@ -101,7 +100,6 @@ class PortfolioConfig:
     routability_weight: float = 0.0
     row_window: int = 2
     checkpoint_every: int = 200
-    jobs: int = 1
     backend: Optional[str] = None
     spot_checks: int = 8
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
@@ -223,10 +221,8 @@ class SerialEstimateServer:
 class CompiledEstimateServer:
     """The hot path: shared table over batch-prefilled compiled plans.
 
-    ``prefill`` fans one default-config estimate per module through
-    :func:`estimate_batch` (workers warm-started from the shared
-    kernel/plan/triangle snapshot; on a single-core host the pool
-    clamps to a bit-identical serial walk).  Every later miss builds at
+    ``prefill`` computes one default-config estimate per module through
+    :func:`estimate_batch`.  Every later miss builds at
     most one :class:`IncrementalEstimator` per module — one scan for
     the life of the run — and row windows around the missed count are
     evaluated in one batched plan sweep, so steady-state moves are pure
@@ -259,7 +255,6 @@ class CompiledEstimateServer:
             leaves,
             self._process,
             self._config.estimator,
-            jobs=max(1, self._config.jobs),
             backend=self._config.backend,
         )
         initial: Dict[str, int] = {}

@@ -7,16 +7,12 @@ This module puts every counter behind one snapshot API:
 * **Estimation counters** — plain additive ``name -> number`` values
   recorded by the span hooks in :mod:`repro.core` and
   :mod:`repro.perf.batch` (estimates run, nets processed, expected
-  feed-through mass, batch tasks, ...).  Additive counters merge across
-  processes: a pool worker ships its counter dict back to the parent,
-  which folds it in with :meth:`MetricsRegistry.merge_counters`, so a
-  ``jobs=4`` run reports the same totals as the serial run.
+  feed-through mass, batch tasks, ...).
 * **Kernel-cache statistics** — read live from
   :func:`repro.perf.kernels.kernel_cache_stats` at snapshot time.
-  These are *per-process* (each pool worker warms its own cache) and
-  deliberately kept out of the additive counter space; consumers that
-  compare serial and parallel runs compare :meth:`counters`, not the
-  cache section.
+  These are process-wide cache facts and deliberately kept out of the
+  additive counter space: they depend on what ran earlier in the
+  process, not only on the traced work.
 
 The default registry (:func:`get_registry`) is process-global so code
 that only wants a snapshot — ``mae bench`` reporting cache hit rates —
@@ -28,7 +24,7 @@ from other work in the process.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Mapping, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 Number = Union[int, float]
 
@@ -51,16 +47,6 @@ class MetricsRegistry:
     def counters(self) -> Dict[str, Number]:
         """A sorted copy of the additive counters."""
         return dict(sorted(self._counters.items()))
-
-    def merge_counters(self, other: Mapping[str, Number]) -> None:
-        """Fold another counter dict in additively.
-
-        This is the cross-process merge: :func:`repro.perf.batch`
-        collects each pool worker's counters and merges them here, so
-        totals are independent of how the work was scheduled.
-        """
-        for name, value in other.items():
-            self.incr(name, value)
 
     def clear(self) -> None:
         """Drop every additive counter (kernel stats are not touched)."""

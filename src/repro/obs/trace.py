@@ -11,15 +11,9 @@ fitting, batch execution).  The design constraints, in order:
    no-op context manager: no span objects, no timestamps, no retained
    allocations.  The benchmark suite runs with the null tracer and must
    stay within noise of ``BENCH_batch_engine.json``.
-2. **Survives the process pool.**  Tracer state is per-process; a pool
-   worker spawned by :mod:`repro.perf.batch` builds its own collecting
-   tracer and ships its span records and counters back to the parent,
-   which stitches them under the current span with :meth:`Tracer.absorb`
-   and merges the counters.  A ``jobs=4`` run therefore yields the same
-   merged counters as a serial run.
-3. **Plain-data records.**  Spans serialize to dicts (and to JSONL via
-   :mod:`repro.obs.jsonl`) so they cross process boundaries by pickling
-   and land on disk without custom decoders.
+2. **Plain-data records.**  Spans serialize to dicts (and to JSONL via
+   :mod:`repro.obs.jsonl`) so they land on disk without custom
+   decoders.
 
 Usage::
 
@@ -102,9 +96,6 @@ class NullTracer:
 
     def records(self) -> List[dict]:
         return []
-
-    def absorb(self, records, parent_id: Optional[int] = None) -> None:
-        pass
 
 
 class Span:
@@ -201,44 +192,6 @@ class Tracer:
             raise RuntimeError(f"spans still open: {open_names}")
         return list(self._records)
 
-    def absorb(
-        self, records: List[dict], parent_id: Optional[int] = None
-    ) -> None:
-        """Stitch span records from another tracer (a pool worker) in.
-
-        Ids are remapped into this tracer's id space; the foreign trace's
-        root spans are re-parented under ``parent_id`` (default: the
-        currently open span, so a worker's trace nests under the batch
-        span that dispatched it).  Worker wall-times are kept as-is —
-        they are relative to the *worker's* epoch and only durations are
-        comparable across processes.
-        """
-        if not records:
-            return
-        if parent_id is None and self._stack:
-            parent_id = self._stack[-1].record["id"]
-        base_depth = 0
-        if parent_id is not None:
-            for record in self._records:
-                if record["id"] == parent_id:
-                    base_depth = record["depth"] + 1
-                    break
-        offset = self._next_id
-        max_id = -1
-        for record in records:
-            merged = dict(record)
-            merged["payload"] = dict(record.get("payload", {}))
-            merged["id"] = record["id"] + offset
-            if record.get("parent") is None:
-                merged["parent"] = parent_id
-                merged["depth"] = base_depth
-            else:
-                merged["parent"] = record["parent"] + offset
-                merged["depth"] = record["depth"] + base_depth
-            max_id = max(max_id, merged["id"])
-            self._records.append(merged)
-        self._next_id = max_id + 1
-
     def span_names(self) -> Dict[str, int]:
         """Name -> occurrence count over the finished records."""
         names: Dict[str, int] = {}
@@ -267,16 +220,3 @@ def use_tracer(tracer: Union[Tracer, NullTracer]) -> Iterator[None]:
         yield
     finally:
         _current.pop()
-
-
-def reset_current_tracer() -> None:
-    """Drop any installed tracers, restoring the NullTracer default.
-
-    Pool workers call this from their initializer: under the ``fork``
-    start method a worker inherits the parent's tracer stack, and
-    recording into that copy would silently lose the spans (the parent
-    never sees them).  Resetting makes the worker-capture path
-    (:mod:`repro.perf.batch`) trace into a fresh local tracer and ship
-    the records back explicitly.
-    """
-    _current[:] = [_NULL_TRACER]

@@ -13,17 +13,13 @@ This harness times three workloads —
 * **seed serial**: one estimator call per (module, config) with kernel
   memoization disabled, re-scanning the schematic every call — the
   repository's original behaviour;
-* **batch jobs=1**: :func:`repro.perf.batch.estimate_batch` on one
-  process, kernel caches warm — isolates the caching/scan-sharing win;
-* **direct jobs=1**: scan once per module, then
+* **batch**: :func:`repro.perf.batch.estimate_batch`, kernel caches
+  warm — isolates the caching/scan-sharing win;
+* **direct**: scan once per module, then
   ``estimate_standard_cell_from_stats`` per row count — the PR 1
   reference the compiled-plan path is measured against;
-* **plan jobs=1**: compile one :class:`~repro.perf.plan.EstimationPlan`
+* **plan**: compile one :class:`~repro.perf.plan.EstimationPlan`
   per module and ``evaluate`` it per row count;
-* **pool cold / pool warm**: the same batch across a forced process
-  pool, with workers starting from cleared caches versus warm-started
-  from the parent's snapshot (``warm_start``) — the record reports how
-  many per-worker kernel misses warm-starting eliminated;
 * **eco rebuild / eco incremental**: a 50-edit ECO sequence against a
   moderate module, estimated after every edit — once by rescanning the
   netlist from scratch per edit, once through the
@@ -68,7 +64,7 @@ from repro.errors import BenchmarkError
 from repro.netlist.model import Module
 from repro.netlist.stats import scan_module
 from repro.obs.metrics import get_registry
-from repro.perf.batch import estimate_batch, last_pool_stats
+from repro.perf.batch import estimate_batch
 from repro.perf.kernels import (
     caches_disabled,
     clear_kernel_caches,
@@ -90,7 +86,7 @@ from repro.workloads.generators import (
 )
 from repro.workloads.suites import table1_suite, table2_suite
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 BENCH_NAME = "batch_engine"
 DEFAULT_OUTPUT = "BENCH_batch_engine.json"
 
@@ -201,7 +197,6 @@ def backend_stress_histograms(
 # the bench itself
 # ----------------------------------------------------------------------
 def run_bench(
-    jobs: int = 4,
     module_count: int = 50,
     row_counts: Sequence[int] = SWEEP_ROW_COUNTS,
     process: Optional[ProcessDatabase] = None,
@@ -260,7 +255,6 @@ def run_bench(
             [config.with_(device_area_mode="exact"),
              config.with_(device_area_mode="average")],
             methodologies=("full-custom",),
-            jobs=1,
         )
         return [result.estimate for result in batch]
 
@@ -292,7 +286,6 @@ def run_bench(
             [[EstimatorConfig(rows=row_count)
               for row_count in case.row_counts] for case in t2_cases],
             methodologies=("standard-cell",),
-            jobs=1,
         )
         return [result.estimate for result in batch]
 
@@ -331,10 +324,10 @@ def run_bench(
                 for config in sweep_configs
             ]
 
-    def sweep_batch(n_jobs: int):
+    def sweep_batch():
         batch = estimate_batch(
             sweep, process, sweep_configs,
-            methodologies=("standard-cell",), jobs=n_jobs,
+            methodologies=("standard-cell",),
         )
         return [result.estimate for result in batch]
 
@@ -344,11 +337,11 @@ def run_bench(
     clear_kernel_caches()
     clear_plan_cache()
     batch1_estimates = timed("synthetic_batch_jobs1", sweep_items,
-                             lambda: sweep_batch(1))
+                             sweep_batch)
     # Mode-collapse audit: for D <= n the exact and paper row-spread
     # distributions coincide bit-for-bit and canonicalize to one cache
     # entry, so this sweep over the live (D, rows) population is served
-    # from the entries the jobs=1 batch just filled — the audit both
+    # from the entries the batch just filled — the audit both
     # checks the invariant and is what makes the row_spread_pmf /
     # expected_row_spread hit rates in the snapshot below non-zero.
     modes_collapse = True
@@ -371,14 +364,6 @@ def run_bench(
     # (same shape as before, no reaching into repro.perf.kernels).
     cache_snapshot = get_registry().snapshot()["kernels"]
     equivalence["synthetic_jobs1"] = seed_estimates == batch1_estimates
-    if jobs > 1:
-        clear_kernel_caches()
-        clear_plan_cache()
-        batchn_estimates = timed(f"synthetic_batch_jobs{jobs}", sweep_items,
-                                 lambda: sweep_batch(jobs))
-        equivalence[f"synthetic_jobs{jobs}"] = (
-            seed_estimates == batchn_estimates
-        )
 
     # ---- plan path vs the PR 1 direct path ---------------------------
     # Both phases reuse the one-time scan and start from cleared caches,
@@ -413,47 +398,6 @@ def run_bench(
     plan_snapshot = get_registry().snapshot()
     plans_section = plan_snapshot["plans"]
     triangle_section = plan_snapshot["triangle"]
-
-    # ---- pool workers: cold start vs warm start ----------------------
-    # force_pool bypasses the core clamp so the worker phases measure
-    # real pool behaviour even on single-core CI hosts.  The parent's
-    # caches are warm from the plan phase, which is exactly what the
-    # warm phase ships.
-    warm_section: Optional[dict] = None
-    pool_jobs = max(2, jobs)
-
-    def sweep_pool(warm: bool):
-        batch = estimate_batch(
-            sweep, process, sweep_configs,
-            methodologies=("standard-cell",), jobs=pool_jobs,
-            warm_start=warm, force_pool=True,
-        )
-        return [result.estimate for result in batch]
-
-    pool_cold_estimates = timed("synthetic_pool_cold", sweep_items,
-                                lambda: sweep_pool(False))
-    cold_stats = last_pool_stats()
-    pool_warm_estimates = timed("synthetic_pool_warm", sweep_items,
-                                lambda: sweep_pool(True))
-    warm_stats = last_pool_stats()
-    equivalence["synthetic_pool_cold"] = seed_estimates == pool_cold_estimates
-    equivalence["synthetic_pool_warm"] = seed_estimates == pool_warm_estimates
-    if cold_stats is not None and warm_stats is not None:
-        # Both runs pooled (neither fell back to the serial path).
-        eliminated = (
-            1.0 - warm_stats.worker_misses / cold_stats.worker_misses
-            if cold_stats.worker_misses else 0.0
-        )
-        warm_section = {
-            "available": True,
-            "workers": warm_stats.workers,
-            "entries_shipped": warm_stats.shipped_entries,
-            "cold_worker_misses": cold_stats.worker_misses,
-            "warm_worker_misses": warm_stats.worker_misses,
-            "miss_elimination": round(eliminated, 4),
-        }
-    else:
-        warm_section = {"available": False}
 
     # ---- incremental ECO path vs rebuild-per-edit --------------------
     # Both paths estimate after *every* edit of the same sequence, with
@@ -689,7 +633,7 @@ def run_bench(
                                 name="bench_chip")
     fp_steps = max(60, min(2 * portfolio_modules, 1200))
     fp_config = PortfolioConfig(
-        steps=fp_steps, seed=29, jobs=jobs,
+        steps=fp_steps, seed=29,
         checkpoint_every=max(1, fp_steps // 2),
         spot_checks=4,
     )
@@ -825,23 +769,15 @@ def run_bench(
             timings["synthetic_batch_jobs1"],
         ),
     }
-    if jobs > 1:
-        speedups[f"synthetic_batch_jobs{jobs}_vs_seed"] = _ratio(
-            timings["synthetic_seed_serial"],
-            timings[f"synthetic_batch_jobs{jobs}"],
-        )
     speedups["synthetic_plan_vs_direct_jobs1"] = _ratio(
         timings["synthetic_direct_jobs1"], timings["synthetic_plan_jobs1"]
     )
     # The headline plan number: compiled plans versus the PR 1 batch
-    # engine on the same sweep (estimate_batch at jobs=1 re-scans and
+    # engine on the same sweep (estimate_batch re-scans and
     # re-dispatches per group; the plan phase compiles once per module
     # and then only evaluates).
     speedups["synthetic_plan_vs_batch_jobs1"] = _ratio(
         timings["synthetic_batch_jobs1"], timings["synthetic_plan_jobs1"]
-    )
-    speedups["synthetic_pool_warm_vs_cold"] = _ratio(
-        timings["synthetic_pool_cold"], timings["synthetic_pool_warm"]
     )
     # The headline ECO number: delta-maintained statistics versus a
     # from-scratch rescan after every edit of the same sequence.
@@ -880,7 +816,6 @@ def run_bench(
         "benchmark": BENCH_NAME,
         "created_unix": time.time(),
         "smoke": smoke,
-        "jobs": jobs,
         "environment": {
             "python": platform.python_version(),
             "platform": sys.platform,
@@ -899,7 +834,6 @@ def run_bench(
             "plans": plans_section,
             "triangle": triangle_section,
         },
-        "warm_start": warm_section,
         "incremental": incremental_section,
         "backend": backend_section,
         "serve": serve_section,
@@ -930,9 +864,6 @@ def validate_bench_record(record: dict) -> None:
     _require(record, "benchmark", str)
     _require(record, "created_unix", (int, float))
     _require(record, "smoke", bool)
-    jobs = _require(record, "jobs", int)
-    if jobs < 1:
-        raise BenchmarkError(f"jobs must be >= 1, got {jobs}")
 
     phases = _require(record, "phases", list)
     if not phases:
@@ -981,24 +912,6 @@ def validate_bench_record(record: dict) -> None:
         if value < 0:
             raise BenchmarkError(
                 f"cache[triangle].{field} must be >= 0, got {value}"
-            )
-
-    warm = _require(record, "warm_start", dict)
-    available = _require(warm, "available", bool, context="warm_start")
-    if available:
-        for field in ("workers", "entries_shipped", "cold_worker_misses",
-                      "warm_worker_misses"):
-            value = _require(warm, field, int, context="warm_start")
-            if value < 0:
-                raise BenchmarkError(
-                    f"warm_start.{field} must be >= 0, got {value}"
-                )
-        elimination = _require(warm, "miss_elimination", (int, float),
-                               context="warm_start")
-        if not 0.0 <= elimination <= 1.0:
-            raise BenchmarkError(
-                f"warm_start.miss_elimination must be within [0, 1], "
-                f"got {elimination}"
             )
 
     incremental = _require(record, "incremental", dict)
@@ -1210,8 +1123,7 @@ def format_bench_record(record: dict) -> str:
     ]
     table = render_table(
         headers, body,
-        title=f"Batch-engine perf trajectory "
-              f"(jobs={record['jobs']}, smoke={record['smoke']})",
+        title=f"Batch-engine perf trajectory (smoke={record['smoke']})",
     )
     speedups = ", ".join(
         f"{name} = {value:.2f}x"
@@ -1221,17 +1133,6 @@ def format_bench_record(record: dict) -> str:
         f"{name} {stats['hit_rate']:.0%}"
         for name, stats in sorted(record["cache"]["kernels"].items())
     )
-    warm = record["warm_start"]
-    if warm.get("available"):
-        warm_line = (
-            f"warm start: {warm['entries_shipped']} entries shipped to "
-            f"{warm['workers']} workers, misses "
-            f"{warm['cold_worker_misses']} cold -> "
-            f"{warm['warm_worker_misses']} warm "
-            f"({warm['miss_elimination']:.0%} eliminated)"
-        )
-    else:
-        warm_line = "warm start: pool unavailable (serial fallback)"
     serve = record["serve"]
     serve_line = (
         f"serve: {serve['sessions']} sessions, "
@@ -1252,8 +1153,8 @@ def format_bench_record(record: dict) -> str:
     )
     return (
         f"{table}\nspeedups: {speedups}\n"
-        f"kernel-cache hit rates (jobs=1 sweep): {hit_rates}\n"
-        f"{warm_line}\n{serve_line}\n{floorplan_line}\n{history_line}"
+        f"kernel-cache hit rates (batch sweep): {hit_rates}\n"
+        f"{serve_line}\n{floorplan_line}\n{history_line}"
     )
 
 
@@ -1266,9 +1167,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Run the batch-engine benchmark suite and write the "
                     "BENCH_batch_engine.json perf-trajectory record.",
     )
-    parser.add_argument("--jobs", type=int, default=4, metavar="N",
-                        help="worker processes for the parallel phase "
-                             "(default: 4)")
     parser.add_argument("--modules", type=int, default=50, metavar="M",
                         help="synthetic sweep population (default: 50)")
     parser.add_argument("--smoke", action="store_true",
@@ -1328,8 +1226,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     try:
         with persistent_kernel_caches(args.kernel_cache):
-            record = run_bench(jobs=args.jobs, module_count=args.modules,
-                               smoke=args.smoke,
+            record = run_bench(module_count=args.modules, smoke=args.smoke,
                                portfolio_modules=args.portfolio_modules)
             path = write_bench_record(record, args.output)
             # Round-trip through the validator so a malformed file on

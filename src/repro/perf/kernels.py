@@ -28,12 +28,10 @@ Cache statistics (hits/misses/entries/bypasses per kernel) are exposed
 through :func:`kernel_cache_stats` so benchmarks and long-running
 services can observe hit rates; :func:`set_cache_enabled` /
 :func:`caches_disabled` exist for baseline measurements and
-equivalence tests.  Caches are per-process, but no longer cold-start
-in workers: :func:`snapshot_kernel_caches` /
-:func:`install_kernel_caches` let :mod:`repro.perf.batch` ship the
-parent's entries (and the shared Stirling triangle) through a pool
-initializer, and :mod:`repro.perf.diskcache` persists them across
-processes entirely.
+equivalence tests.  Caches are per-process;
+:func:`snapshot_kernel_caches` / :func:`install_kernel_caches` let
+:mod:`repro.perf.diskcache` persist the entries (and the shared
+Stirling triangle) across processes.
 """
 
 from __future__ import annotations
@@ -165,34 +163,11 @@ def clear_kernel_caches() -> None:
     _TRIANGLE.clear()
 
 
-def reset_kernel_counters() -> None:
-    """Zero the hit/miss/bypass counters without dropping any entries.
-
-    Pool workers call this after a warm-start install so their reported
-    statistics reflect only the work they actually performed.
-    """
-    for kernel in _KERNELS.values():
-        kernel.hits = 0
-        kernel.misses = 0
-        kernel.bypasses = 0
-
-
-def kernel_counter_totals() -> Tuple[int, int, int]:
-    """Total (hits, misses, bypasses) across every kernel cache."""
-    hits = misses = bypasses = 0
-    for kernel in _KERNELS.values():
-        hits += kernel.hits
-        misses += kernel.misses
-        bypasses += kernel.bypasses
-    return hits, misses, bypasses
-
-
 def snapshot_kernel_caches() -> dict:
     """A picklable copy of every kernel cache plus the triangle.
 
-    This is what :func:`repro.perf.batch.estimate_batch` ships to pool
-    workers (warm start) and what the on-disk cache
-    (:mod:`repro.perf.diskcache`) serializes.
+    This is what the on-disk cache (:mod:`repro.perf.diskcache`)
+    serializes.
     """
     return {
         "kernels": {

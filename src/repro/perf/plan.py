@@ -22,9 +22,8 @@ config.with_rows(rows))``; a Hypothesis property test asserts
 field-for-field equality over random histograms, row counts, and both
 row-spread/feed-through models.
 
-Plans are cached process-wide (:func:`get_plan`) and are picklable, so
-:func:`repro.perf.batch.estimate_batch` ships compiled plans to pool
-workers alongside the kernel caches.  Compilation statistics live in
+Plans are cached process-wide (:func:`get_plan`).  Compilation
+statistics live in
 :func:`plan_cache_stats` (cache-stats space, like the kernel caches) —
 deliberately *not* in the additive tracer counter space, because plan
 cache hits depend on process history, not on the workload.
@@ -33,7 +32,7 @@ cache hits depend on process history, not on the workload.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.config import EstimatorConfig
 from repro.core.probability import expected_feedthroughs
@@ -77,8 +76,7 @@ class EstimationPlan:
         self.process = process
         #: Plans store the *name* of their kernel backend (resolved at
         #: compile time — ``None`` means the process default) and look
-        #: the instance up per evaluation, so plans stay picklable and
-        #: pool workers resolve against their own registry.
+        #: the instance up per evaluation.
         self.backend_name = resolve_backend_name(backend)
         #: Row count is an evaluate()-time argument, never plan state.
         self.config = config.with_rows(None)
@@ -401,22 +399,3 @@ def clear_plan_cache() -> None:
     _PLAN_CACHE.clear()
     for name in _PLAN_COUNTERS:
         _PLAN_COUNTERS[name] = 0
-
-
-def snapshot_plans() -> List[EstimationPlan]:
-    """A picklable list of every cached plan (for worker warm starts)."""
-    return list(_PLAN_CACHE.values())
-
-
-def install_plans(plans: List[EstimationPlan]) -> int:
-    """Adopt compiled plans into this process's cache; returns the
-    number installed."""
-    installed = 0
-    for plan in plans:
-        key = _plan_key(
-            plan.stats, plan.process, plan.config, plan.backend_name
-        )
-        if key not in _PLAN_CACHE:
-            _PLAN_CACHE[key] = plan
-            installed += 1
-    return installed

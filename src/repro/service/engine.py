@@ -18,11 +18,8 @@ dispatcher thread**.  Each drain takes every queued request (up to
 ``coalesce_limit``), groups them by session, and serves each group with
 *one* planning call — multi-row groups go through
 :meth:`~repro.incremental.IncrementalEstimator.estimate_rows`, a single
-batched kernel evaluation under the numpy backend.  When the engine is
-configured with ``jobs > 1`` and a drain holds requests for several
-sessions of the same process/backend, the whole group is fanned out as
-one :func:`repro.perf.batch.estimate_batch` job instead.  Every route
-is bit-identical to a direct
+batched kernel evaluation under the numpy backend.  Every route is
+bit-identical to a direct
 :func:`~repro.core.standard_cell.estimate_standard_cell_from_stats`
 call — the ``serve_equivalence`` verify gate enforces it.
 
@@ -30,11 +27,11 @@ call — the ``serve_equivalence`` verify gate enforces it.
 kernel-cache / Stirling-triangle / plan-cache instance.  The
 concurrency invariant that makes this safe without fine-grained locks:
 *only the dispatcher thread evaluates estimates*, so only the
-dispatcher (and pool workers warm-started from it) ever touches the
-shared memo dicts.  Client threads touch per-session state under the
-session lock and read-only snapshots.  ``kernel_cache`` wires the
-engine into :func:`repro.perf.diskcache.persistent_kernel_caches`:
-warm-start on construction, save on a clean :meth:`shutdown`.
+dispatcher ever touches the shared memo dicts.  Client threads touch
+per-session state under the session lock and read-only snapshots.
+``kernel_cache`` wires the engine into
+:func:`repro.perf.diskcache.persistent_kernel_caches`: warm-start on
+construction, save on a clean :meth:`shutdown`.
 
 Shutdown is graceful by default: the engine stops accepting work
 (:class:`ServiceClosedError`, HTTP 503), drains every queued request,
@@ -78,17 +75,14 @@ class ServiceConfig:
     ``queue_limit`` bounds the number of *queued* estimate requests
     across all sessions — the backpressure point.  ``coalesce_limit``
     caps how many of them one dispatcher drain serves together.
-    ``jobs > 1`` lets a multi-session drain fan out through the
-    ``estimate_batch`` process pool.  ``request_timeout`` is the
-    default seconds a caller waits for its coalesced result before the
-    request is abandoned (HTTP 504).
+    ``request_timeout`` is the default seconds a caller waits for its
+    coalesced result before the request is abandoned (HTTP 504).
     """
 
     max_sessions: int = 64
     queue_limit: int = 256
     coalesce_limit: int = 32
     request_timeout: float = 30.0
-    jobs: int = 1
     backend: Optional[str] = None
     kernel_cache: Optional[str] = None
 
@@ -109,8 +103,6 @@ class ServiceConfig:
             raise ServiceError(
                 f"request_timeout must be > 0, got {self.request_timeout}"
             )
-        if self.jobs < 1:
-            raise ServiceError(f"jobs must be >= 1, got {self.jobs}")
 
 
 class Session:
@@ -367,7 +359,6 @@ class EstimationEngine:
             },
             "requests": counts,
             "latency": {"dispatch": self._dispatch_latency.summary()},
-            "jobs": self.config.jobs,
             "accepting": not closed,
         }
 
@@ -474,8 +465,7 @@ class EstimationEngine:
 
     def _serve_batch(self, batch: List[_Request]) -> None:
         """Serve one drained batch: jobs serially, estimates grouped
-        by session (and, when configured, fanned out as one
-        ``estimate_batch`` call)."""
+        by session."""
         estimates: List[_Request] = []
         for request in batch:
             if request.kind == "job":
@@ -509,8 +499,6 @@ class EstimationEngine:
                 "coalesced_requests",
                 sum(len(requests) for _, requests in group_list),
             )
-        if self.config.jobs > 1 and len(group_list) > 1:
-            group_list = self._serve_via_batch(group_list)
         for session, requests in group_list:
             try:
                 self._serve_group(session, requests)
@@ -572,65 +560,3 @@ class EstimationEngine:
             count = self._finish(requests, served, version)
             session.estimates_served += count
         self._count("estimates_served", count)
-
-    def _serve_via_batch(self, group_list):
-        """Fan a multi-session drain out as one ``estimate_batch`` job.
-
-        Only groups sharing one process database and backend batch
-        together (``estimate_batch`` takes a single process); the rest
-        are returned for the per-session path.  Bit-identity holds
-        because the incremental engines' maintained statistics equal a
-        rescan by construction and every batch path is bit-identical to
-        the direct estimator.
-        """
-        from repro.perf.batch import estimate_batch
-
-        by_context: Dict[tuple, list] = {}
-        for session, requests in group_list:
-            key = (id(session.process), session.engine.backend)
-            by_context.setdefault(key, []).append((session, requests))
-        remaining = []
-        for context_groups in by_context.values():
-            if len(context_groups) < 2:
-                remaining.extend(context_groups)
-                continue
-            process = context_groups[0][0].process
-            backend = context_groups[0][0].engine.backend
-            with contextlib.ExitStack() as stack:
-                for session, _ in context_groups:
-                    stack.enter_context(session.lock)
-                modules = []
-                configs = []
-                keys_per_group = []
-                for session, requests in context_groups:
-                    keys = self._row_keys(requests)
-                    keys_per_group.append(keys)
-                    modules.append(session.engine.module)
-                    base = session.engine.config
-                    configs.append([
-                        base if key is None else base.with_rows(key)
-                        for key in keys
-                    ])
-                results = estimate_batch(
-                    modules, process, configs,
-                    methodologies=("standard-cell",),
-                    jobs=self.config.jobs, backend=backend,
-                )
-                cursor = 0
-                count = 0
-                for (session, requests), keys in zip(
-                    context_groups, keys_per_group
-                ):
-                    served = {
-                        key: results[cursor + offset].estimate
-                        for offset, key in enumerate(keys)
-                    }
-                    cursor += len(keys)
-                    group_count = self._finish(
-                        requests, served, session.engine.stats_version
-                    )
-                    session.estimates_served += group_count
-                    count += group_count
-            self._count("estimates_served", count)
-            self._count("batch_dispatches")
-        return remaining

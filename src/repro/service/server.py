@@ -480,7 +480,6 @@ def _make_handler(server: MAEServer):
                 return estimate_batch(
                     modules, process, configs,
                     methodologies=(methodology,),
-                    jobs=server.engine.config.jobs,
                 )
 
             results = server.engine.submit_job(job, timeout=_timeout(body))
@@ -498,7 +497,18 @@ def _make_handler(server: MAEServer):
 
         # --------------------------------------------------------------
         def _json_body(self, optional: bool = False) -> dict:
-            length = int(self.headers.get("Content-Length") or 0)
+            declared = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(declared)
+            except ValueError:
+                length = -1
+            if length < 0:
+                # The body's framing is unknown, so the connection
+                # cannot be reused for another request.
+                self.close_connection = True
+                raise _HTTPFail(
+                    400, f"invalid Content-Length {declared!r}"
+                )
             if length == 0:
                 if optional:
                     return {}

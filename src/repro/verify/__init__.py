@@ -20,7 +20,6 @@ from repro.verify.checks import (
     CheckResult,
     check_area_monotone_in_devices,
     check_backend_equivalence,
-    check_batch_jobs,
     check_caches_identity,
     check_disk_roundtrip,
     check_frontend_accuracy,
@@ -88,7 +87,6 @@ __all__ = [
     "VerifyReport",
     "check_area_monotone_in_devices",
     "check_backend_equivalence",
-    "check_batch_jobs",
     "check_caches_identity",
     "check_disk_roundtrip",
     "check_frontend_accuracy",

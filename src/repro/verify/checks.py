@@ -1,20 +1,18 @@
 """Equivalence invariants and metamorphic properties.
 
 Three perf-heavy PRs left the estimator with strong claims — compiled
-plans are "bit-identical" to the direct path, pooled batches are
-"identical at any job count", caches "never change results", tracing is
-"zero cost *and* zero effect" — that were each enforced by a handful of
-hand-written tests.  This module turns every claim into a reusable
-check over an arbitrary module, so the corpus driver can assert them
-across the whole randomized design population.
+plans are "bit-identical" to the direct path, caches "never change
+results", tracing is "zero cost *and* zero effect" — that were each
+enforced by a handful of hand-written tests.  This module turns every
+claim into a reusable check over an arbitrary module, so the corpus
+driver can assert them across the whole randomized design population.
 
 Two kinds of checks:
 
 * **Equivalence invariants** compare two computations that must agree
   *bit for bit* (exact ``==`` on every result field, floats included):
   plan vs direct, caches on vs :func:`caches_disabled`, trace-on vs
-  trace-off, batch ``jobs=1`` vs ``jobs=N``, and a disk-cache
-  round-trip.
+  trace-off, and a disk-cache round-trip.
 * **Metamorphic properties** relate outputs across *related inputs*
   where no oracle exists: area is monotone in device count, the row
   sweep is not wildly non-convex, the shared track model never exceeds
@@ -36,7 +34,7 @@ import os
 import random
 import tempfile
 import zlib
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.config import EstimatorConfig
 from repro.core.full_custom import estimate_full_custom
@@ -49,7 +47,6 @@ from repro.incremental.engine import IncrementalEstimator
 from repro.netlist.model import Module
 from repro.netlist.stats import scan_module
 from repro.obs.trace import Tracer, use_tracer
-from repro.perf.batch import estimate_batch
 from repro.perf.diskcache import load_kernel_caches, save_kernel_caches
 from repro.perf.kernels import (
     caches_disabled,
@@ -163,32 +160,6 @@ def check_trace_identity(
         "trace_identity", False,
         f"tracing changed the result ({_mismatch(untraced, traced)})",
     )
-
-
-def check_batch_jobs(
-    modules: Sequence[Module],
-    process: ProcessDatabase,
-    jobs: int = 2,
-    config: Optional[EstimatorConfig] = None,
-) -> CheckResult:
-    """``estimate_batch`` at ``jobs=1`` vs ``jobs=N``: same estimates,
-    element for element, in submission order."""
-    config = config or EstimatorConfig()
-    serial = estimate_batch(list(modules), process, config, jobs=1)
-    pooled = estimate_batch(list(modules), process, config, jobs=jobs)
-    if len(serial) != len(pooled):
-        return CheckResult(
-            "batch_jobs", False,
-            f"result counts differ: {len(serial)} vs {len(pooled)}",
-        )
-    for one, many in zip(serial, pooled):
-        if _fields(one.estimate) != _fields(many.estimate):
-            return CheckResult(
-                "batch_jobs", False,
-                f"module {one.task.module_name!r}: jobs=1 vs jobs={jobs} "
-                f"({_mismatch(one.estimate, many.estimate)})",
-            )
-    return CheckResult("batch_jobs", True)
 
 
 def check_disk_roundtrip(

@@ -9,8 +9,7 @@ per stage (``verify.corpus`` → ``verify.equivalence`` →
    against the CMOS process, full-custom against nMOS, matching the
    paper's Table 2 / Table 1 technologies).
 2. **Equivalence** — every bit-identity claim from the perf PRs, per
-   module plus the corpus-wide batch ``jobs=1`` vs ``jobs=N`` and
-   disk-cache round-trip checks.
+   module plus the corpus-wide disk-cache round-trip check.
 3. **Metamorphic** — cross-input properties, including area
    monotonicity over grown random modules (prefix-aligned seeds keep
    the smaller module a strict sub-construction of the larger).
@@ -42,7 +41,6 @@ from repro.technology.process import ProcessDatabase
 from repro.verify.checks import (
     CheckResult,
     check_area_monotone_in_devices,
-    check_batch_jobs,
     check_caches_identity,
     check_disk_roundtrip,
     check_backend_equivalence,
@@ -88,7 +86,6 @@ class VerifyOptions:
 
     seeds: int = 25
     base_seed: int = 0
-    jobs: int = 2
     bounds: EnvelopeBounds = dataclasses.field(
         default_factory=EnvelopeBounds
     )
@@ -197,7 +194,6 @@ CHECK_STAGES: Dict[str, str] = {
     "incremental_equivalence": "equivalence",
     "backend_equivalence": "equivalence",
     "serve_equivalence": "equivalence",
-    "batch_jobs": "equivalence",
     "disk_roundtrip": "equivalence",
     "portfolio_determinism": "equivalence",
     "shared_within_upper_bound": "metamorphic",
@@ -242,8 +238,6 @@ def _single_check(
         return check_caches_identity(module, process, methodology)
     if name == "trace_identity":
         return check_trace_identity(module, process, methodology)
-    if name == "batch_jobs":
-        return check_batch_jobs([module], process, jobs=2)
     if name == "disk_roundtrip":
         return check_disk_roundtrip(module, process)
     if name == "incremental_equivalence":
@@ -307,30 +301,11 @@ def run_verify(options: Optional[VerifyOptions] = None) -> VerifyReport:
                     continue
                 note(spec, module, result,
                      _predicate(result.name, process, spec.methodology))
-        # Corpus-wide: one pooled batch over every standard-cell module
-        # (force_pool exercises real workers even on one-core hosts),
-        # and one disk round-trip per sweep.
+        # Corpus-wide: one disk round-trip per sweep.
         sc_cases = [
             (spec, module) for spec, module in built
             if spec.methodology == "standard-cell"
         ]
-        if sc_cases and options.wants("batch_jobs"):
-            process = processes["standard-cell"]
-            batch = check_batch_jobs(
-                [module for _, module in sc_cases], process,
-                jobs=max(2, options.jobs),
-            )
-            if batch.passed:
-                note(sc_cases[0][0], sc_cases[0][1], batch, None)
-            else:
-                # Localise: re-check each module alone so the failure
-                # shrinks against the module that actually diverges.
-                for spec, module in sc_cases:
-                    single = check_batch_jobs([module], process, jobs=2)
-                    if not single.passed:
-                        note(spec, module, single,
-                             _predicate("batch_jobs", process,
-                                        spec.methodology))
         if sc_cases and options.wants("disk_roundtrip"):
             process = processes["standard-cell"]
             note(sc_cases[0][0], sc_cases[0][1],

@@ -29,6 +29,19 @@ class TestValidation:
             {"device_area_mode": "bogus"},
             {"port_pitch_override": 0.0},
             {"max_aspect": 0.5},
+            {"rows": 2.5},
+            {"rows": True},
+            {"rows": "3"},
+            {"max_rows": float("inf")},
+            {"max_rows": 8.0},
+            {"port_pitch_override": float("nan")},
+            {"port_pitch_override": float("inf")},
+            {"congestion_margin": float("nan")},
+            {"congestion_margin": float("inf")},
+            {"max_aspect": float("nan")},
+            {"max_aspect": float("inf")},
+            {"track_sharing_factor": float("nan")},
+            {"track_sharing_factor": float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -1,20 +1,16 @@
-"""MetricsRegistry semantics and cross-process metric merging.
+"""MetricsRegistry semantics and the counters of a traced batch.
 
-The key contract: a traced ``estimate_batch`` reports the *same* merged
-counters whether it runs serially or fans module groups across pool
-workers.  Counters are additive, workload-derived quantities; run-shape
-facts (how many workers) live in span payloads only, so the two paths
-are indistinguishable in the counter space.
+Counters are additive, workload-derived quantities: a traced
+``estimate_batch`` counts every group, task, scan and estimate it ran,
+and an untraced one records nothing.
 """
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.config import EstimatorConfig
 from repro.obs.metrics import MetricsRegistry, get_registry, kernel_cache_snapshot
 from repro.obs.trace import Tracer, use_tracer
-from repro.perf.batch import _estimate_module_group, estimate_batch
+from repro.perf.batch import estimate_batch
 from repro.perf.kernels import clear_kernel_caches
 from repro.workloads.suites import table2_suite
 
@@ -38,13 +34,6 @@ class TestMetricsRegistry:
         assert list(counters) == ["a", "z"]
         counters["a"] = 99
         assert registry.counters()["a"] == 1
-
-    def test_merge_counters_is_additive(self):
-        registry = MetricsRegistry()
-        registry.incr("a", 1)
-        registry.merge_counters({"a": 2, "b": 5})
-        registry.merge_counters({"b": 1})
-        assert registry.counters() == {"a": 3, "b": 6}
 
     def test_clear(self):
         registry = MetricsRegistry()
@@ -85,7 +74,7 @@ class TestMetricsRegistry:
 
 
 # ----------------------------------------------------------------------
-# serial vs parallel merged metrics
+# traced batch counters
 # ----------------------------------------------------------------------
 def _suite_batch_inputs():
     cases = list(table2_suite())
@@ -97,39 +86,19 @@ def _suite_batch_inputs():
     return modules, configs
 
 
-def _traced_batch(nmos, jobs):
+def _traced_batch(nmos):
     modules, configs = _suite_batch_inputs()
     tracer = Tracer()
     with use_tracer(tracer):
         results = estimate_batch(
             modules, nmos, configs, ("standard-cell", "full-custom"),
-            jobs=jobs,
         )
     return tracer, results
 
 
 class TestBatchMetricsMerge:
-    def test_serial_and_parallel_counters_match(self, nmos):
-        serial_tracer, serial_results = _traced_batch(nmos, jobs=1)
-        parallel_tracer, parallel_results = _traced_batch(nmos, jobs=4)
-        assert [r.estimate for r in serial_results] == [
-            r.estimate for r in parallel_results
-        ]
-        serial = serial_tracer.metrics.counters()
-        parallel = parallel_tracer.metrics.counters()
-        # Integer counters are exactly equal; float counters are summed
-        # per worker group before the parent merge, so a real pool (on a
-        # multi-core host) may differ from the serial sum in the last
-        # few ulps.
-        assert set(serial) == set(parallel)
-        for name, value in serial.items():
-            if isinstance(value, int) and isinstance(parallel[name], int):
-                assert value == parallel[name], name
-            else:
-                assert parallel[name] == pytest.approx(value), name
-
     def test_counters_cover_the_whole_workload(self, nmos):
-        tracer, results = _traced_batch(nmos, jobs=1)
+        tracer, results = _traced_batch(nmos)
         counters = tracer.metrics.counters()
         assert counters["batch.calls"] == 1
         assert counters["batch.groups"] == len(table2_suite())
@@ -140,49 +109,10 @@ class TestBatchMetricsMerge:
         )
         assert counters["sc.estimates"] == sc_count
 
-    def test_worker_capture_merges_like_inline(self, nmos):
-        """The pool-worker capture path, exercised directly.
-
-        The host may have a single core (the pool clamps to it), so the
-        worker-side branch of ``_estimate_module_group`` is driven
-        explicitly: capture=True with no active tracer is exactly the
-        state inside a pool worker of a traced parent.
-        """
-        case = table2_suite()[0]
-        configs = tuple(EstimatorConfig(rows=r) for r in case.row_counts)
-        group = (case.module, nmos, ("standard-cell",), configs, True,
-                 "exact")
-
-        # Inline reference: same group, recorded by an active tracer.
-        inline = Tracer()
-        with use_tracer(inline):
-            inline_estimates, records, counters = _estimate_module_group(
-                (case.module, nmos, ("standard-cell",), configs, True,
-                 "exact")
-            )
-        assert records is None and counters is None
-
-        # Worker path: no active tracer, so the group captures locally.
-        worker_estimates, records, counters = _estimate_module_group(group)
-        assert worker_estimates == inline_estimates
-        assert records, "worker must ship span records back"
-        assert counters == inline.metrics.counters()
-
-        # The parent merge reproduces the inline trace contents.
-        parent = Tracer()
-        with parent.span("batch.estimate"):
-            parent.absorb(records)
-        parent.metrics.merge_counters(counters)
-        assert parent.metrics.counters() == inline.metrics.counters()
-        worker_names = parent.span_names()
-        worker_names.pop("batch.estimate")
-        worker_names.pop("batch.worker_group")
-        assert worker_names == inline.span_names()
-
     def test_untraced_batch_records_nothing(self, nmos):
         modules, configs = _suite_batch_inputs()
         tracer = Tracer()
-        estimate_batch(modules, nmos, configs, ("standard-cell",), jobs=1)
+        estimate_batch(modules, nmos, configs, ("standard-cell",))
         assert tracer.records() == []
         assert tracer.metrics.counters() == {}
 
@@ -194,7 +124,7 @@ def test_bench_reads_kernel_stats_from_registry(tmp_path):
     """``mae bench`` consumes cache stats via the registry snapshot."""
     from repro.perf.bench import run_bench
 
-    record = run_bench(jobs=1, smoke=True)
+    record = run_bench(smoke=True)
     snapshot = record["cache"]["kernels"]
     assert set(snapshot) == set(kernel_cache_snapshot())
     for stats in snapshot.values():

@@ -147,47 +147,6 @@ class TestTracerStack:
 
 
 # ----------------------------------------------------------------------
-# absorb (cross-process merge)
-# ----------------------------------------------------------------------
-class TestAbsorb:
-    def _worker_records(self):
-        worker = Tracer()
-        with worker.span("group"):
-            with worker.span("scan"):
-                pass
-        return worker.records()
-
-    def test_absorb_remaps_ids(self):
-        parent = Tracer()
-        with parent.span("local"):
-            pass
-        parent.absorb(self._worker_records())
-        records = parent.records()
-        assert len(records) == 3
-        assert len({r["id"] for r in records}) == 3
-        by_name = {r["name"]: r for r in records}
-        assert by_name["scan"]["parent"] == by_name["group"]["id"]
-
-    def test_absorb_reparents_under_open_span(self):
-        parent = Tracer()
-        with parent.span("batch") as _:
-            parent.absorb(self._worker_records())
-        by_name = {r["name"]: r for r in parent.records()}
-        assert by_name["group"]["parent"] == by_name["batch"]["id"]
-        assert by_name["group"]["depth"] == 1
-        assert by_name["scan"]["depth"] == 2
-
-    def test_absorbed_trace_serializes(self, tmp_path):
-        parent = Tracer()
-        with parent.span("batch"):
-            parent.absorb(self._worker_records())
-        path = tmp_path / "merged.jsonl"
-        write_trace(parent, path)
-        data = read_trace(path)
-        assert len(data["spans"]) == 3
-
-
-# ----------------------------------------------------------------------
 # JSONL round-trip and validation
 # ----------------------------------------------------------------------
 class TestJsonl:

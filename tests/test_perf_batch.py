@@ -3,7 +3,7 @@
 The load-bearing guarantee: the kernel cache and the batch executor are
 *transparent* — every estimate they produce is bit-identical (dataclass
 equality on float-carrying results) to the per-call seed path, over the
-real paper suites, at any ``jobs`` value, with caches on or off.
+real paper suites, with caches on or off.
 """
 
 import json
@@ -47,7 +47,6 @@ class TestBatchEquivalence:
             [[EstimatorConfig(rows=rc) for rc in case.row_counts]
              for case in cases],
             methodologies=("standard-cell",),
-            jobs=4,
         )
         cursor = iter(batch)
         for case in cases:
@@ -70,7 +69,6 @@ class TestBatchEquivalence:
             nmos,
             configs,
             methodologies=("full-custom",),
-            jobs=4,
         )
         cursor = iter(batch)
         for case in cases:
@@ -90,15 +88,19 @@ class TestBatchEquivalence:
     def test_jobs1_equals_jobs4(self, nmos):
         modules = synthetic_sweep_modules(6)
         configs = [EstimatorConfig(rows=rows) for rows in (2, 5, 8)]
-        serial = estimate_batch(modules, nmos, configs, jobs=1)
-        pooled = estimate_batch(modules, nmos, configs, jobs=4)
-        assert serial == pooled
+        batch = estimate_batch(modules, nmos, configs)
+        assert [r.estimate for r in batch] == [
+            estimate_standard_cell(module, nmos, config)
+            for module in modules
+            for config in configs
+        ]
 
     def test_sweep_rows_jobs_identical(self, nmos):
         module = table2_suite()[0].module
-        assert sweep_rows(module, nmos, (2, 4, 6)) == sweep_rows(
-            module, nmos, (2, 4, 6), jobs=4
-        )
+        assert sweep_rows(module, nmos, (2, 4, 6)) == [
+            estimate_standard_cell(module, nmos, EstimatorConfig(rows=rows))
+            for rows in (2, 4, 6)
+        ]
 
 
 class TestBatchShape:
@@ -132,12 +134,6 @@ class TestBatchShape:
             estimate_batch(
                 synthetic_sweep_modules(1), nmos, EstimatorConfig(),
                 methodologies=("gate-array",),
-            )
-
-    def test_rejects_bad_jobs(self, nmos):
-        with pytest.raises(EstimationError):
-            estimate_batch(
-                synthetic_sweep_modules(1), nmos, EstimatorConfig(), jobs=0
             )
 
     def test_rejects_mismatched_per_module_configs(self, nmos):
@@ -196,7 +192,7 @@ class TestKernelCache:
 class TestBenchRecord:
     @pytest.fixture(scope="class")
     def record(self):
-        return run_bench(jobs=2, smoke=True)
+        return run_bench(smoke=True)
 
     def test_smoke_record_validates(self, record):
         validate_bench_record(record)

@@ -1,11 +1,8 @@
-"""Warm-started workers and the on-disk kernel cache.
+"""The on-disk kernel cache.
 
-Two failure modes matter here: a warm-started batch silently differing
-from a cold one (correctness), and a corrupted cache file being half
-loaded (state pollution).  Both are pinned down: batches are asserted
-bit-identical across warm/cold/serial, and every malformed disk cache
-must raise :class:`KernelCacheError` while leaving the live caches
-untouched.
+The failure mode that matters here is a corrupted cache file being
+half loaded (state pollution): every malformed disk cache must raise
+:class:`KernelCacheError` while leaving the live caches untouched.
 """
 
 from __future__ import annotations
@@ -16,7 +13,6 @@ import pytest
 
 from repro.core.config import EstimatorConfig
 from repro.errors import KernelCacheError
-from repro.perf.batch import estimate_batch, last_pool_stats
 from repro.perf.bench import synthetic_sweep_modules
 from repro.perf.diskcache import (
     DISK_SCHEMA_VERSION,
@@ -31,7 +27,6 @@ from repro.perf.kernels import (
     snapshot_kernel_caches,
     surjection_triangle_stats,
 )
-from repro.perf.plan import clear_plan_cache
 
 
 def _warm_the_caches(nmos, modules=3):
@@ -134,57 +129,3 @@ class TestRejection:
         triangle = good_payload["triangle"]
         triangle["rows"][0] = triangle["rows"][0][:-1]
         self._assert_rejected(tmp_path, good_payload, "length")
-
-
-# ----------------------------------------------------------------------
-# warm-started pools are bit-identical to cold ones
-# ----------------------------------------------------------------------
-class TestWarmStartedBatch:
-    @pytest.fixture()
-    def workload(self, nmos):
-        modules = synthetic_sweep_modules(6)
-        configs = [EstimatorConfig(rows=rows) for rows in (2, 3, 5, 8)]
-        return modules, nmos, configs
-
-    def _run(self, workload, **kwargs):
-        modules, nmos, configs = workload
-        results = estimate_batch(
-            modules, nmos, configs,
-            methodologies=("standard-cell", "full-custom"), **kwargs
-        )
-        return [r.estimate for r in results]
-
-    def test_jobs1_identical_warm_and_cold(self, workload):
-        clear_kernel_caches()
-        clear_plan_cache()
-        serial = self._run(workload, jobs=1)
-        assert self._run(workload, jobs=1, warm_start=False) == serial
-        assert self._run(workload, jobs=1, warm_start=True) == serial
-
-    def test_jobs4_identical_warm_and_cold(self, workload):
-        clear_kernel_caches()
-        clear_plan_cache()
-        serial = self._run(workload, jobs=1)
-        cold = self._run(
-            workload, jobs=4, warm_start=False, force_pool=True
-        )
-        cold_stats = last_pool_stats()
-        warm = self._run(
-            workload, jobs=4, warm_start=True, force_pool=True
-        )
-        warm_stats = last_pool_stats()
-        assert cold == serial
-        assert warm == serial
-        if cold_stats is None or warm_stats is None:
-            pytest.skip("process pool unavailable on this platform")
-        assert cold_stats.warm_start is False
-        assert warm_stats.warm_start is True
-        assert warm_stats.shipped_entries > 0
-        # The acceptance bar: warm starting eliminates >= 90 % of the
-        # per-worker kernel misses the cold pool pays.
-        assert cold_stats.worker_misses > 0
-        assert warm_stats.worker_misses <= 0.1 * cold_stats.worker_misses
-
-    def test_serial_batch_reports_no_pool_stats(self, workload):
-        self._run(workload, jobs=1)
-        assert last_pool_stats() is None

@@ -51,7 +51,7 @@ def module():
 class TestServiceConfig:
     @pytest.mark.parametrize("field,value", [
         ("max_sessions", 0), ("queue_limit", 0), ("coalesce_limit", 0),
-        ("request_timeout", 0.0), ("jobs", 0),
+        ("request_timeout", 0.0),
     ])
     def test_rejects_bad_values(self, field, value):
         with pytest.raises(ServiceError):
@@ -183,45 +183,6 @@ class TestEstimateBitIdentity:
                     module, nmos, EstimatorConfig(rows=rows)
                 )
                 assert _fields(served) == _fields(direct)
-
-    def test_jobs2_batch_route_identical(self, nmos):
-        """A multi-session drain through estimate_batch (jobs > 1)
-        serves the same bits as the per-session path."""
-        engine = EstimationEngine(ServiceConfig(jobs=2))
-        try:
-            modules = [
-                random_gate_module(f"svc_batch_{i}", gates=30, inputs=5,
-                                   outputs=3, seed=i)
-                for i in range(3)
-            ]
-            sessions = [engine.create_session(m, nmos) for m in modules]
-            # Park the dispatcher so all requests coalesce into one
-            # drain, forcing the estimate_batch route.
-            engine._dispatch_gate.clear()
-            results = {}
-
-            def work(index):
-                _, served = engine.estimate(sessions[index].session_id)
-                results[index] = served
-
-            threads = [
-                threading.Thread(target=work, args=(i,)) for i in range(3)
-            ]
-            for t in threads:
-                t.start()
-            engine._dispatch_gate.set()
-            for t in threads:
-                t.join()
-            assert engine.service_stats()["requests"].get(
-                "batch_dispatches", 0
-            ) >= 1
-            for index, module in enumerate(modules):
-                direct = estimate_standard_cell(
-                    module, nmos, EstimatorConfig()
-                )
-                assert _fields(results[index]) == _fields(direct)
-        finally:
-            engine.shutdown()
 
     def test_mixed_process_sessions(self, engine, module, nmos):
         cmos = cmos_process()

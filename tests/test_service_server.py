@@ -10,6 +10,7 @@ check.
 
 import dataclasses
 import json
+import socket
 import time
 import urllib.error
 import urllib.request
@@ -233,6 +234,23 @@ class TestErrorContract:
         with pytest.raises(urllib.error.HTTPError) as exc_info:
             urllib.request.urlopen(req, timeout=15)
         assert exc_info.value.code == 400
+
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_malformed_content_length_400(self, server, length):
+        """A non-integer or negative Content-Length is a 400, answered
+        without reading the body, and the connection is closed."""
+        with socket.create_connection(
+            (server.host, server.port), timeout=5
+        ) as sock:
+            sock.sendall(
+                b"POST /sessions HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n{}"
+            )
+            reply = sock.makefile("rb").read()
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        assert "Content-Length" in json.loads(body)["error"]
 
     def test_unparseable_netlist_400(self, server):
         status, body = request(server.base_url, "POST", "/sessions", {

@@ -7,7 +7,6 @@ import pytest
 from repro.errors import EstimationError
 from repro.verify.checks import (
     check_area_monotone_in_devices,
-    check_batch_jobs,
     check_caches_identity,
     check_disk_roundtrip,
     check_incremental_equivalence,
@@ -42,9 +41,6 @@ class TestEquivalenceChecks:
         assert "plan_vs_direct" not in names
         assert "row_sweep_sanity" not in names
         assert all(result.passed for result in results)
-
-    def test_batch_jobs(self, module, cmos):
-        assert check_batch_jobs([module], cmos, jobs=2).passed
 
     def test_disk_roundtrip(self, module, cmos):
         assert check_disk_roundtrip(module, cmos).passed
