@@ -40,14 +40,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.print_help()
         return 2
     try:
-        from repro.perf.backends import apply_cli_backend
         from repro.perf.diskcache import persistent_kernel_caches
-
-        # Resolve --backend / $MAE_BACKEND once, up front: every
-        # estimator call in the command inherits the selection.  An
-        # explicitly named but unavailable backend fails here with a
-        # clean error.
-        apply_cli_backend(getattr(args, "backend", None))
 
         # Opt-in cross-process warm start: load the kernel caches before
         # the command runs and save them back after it succeeds, so
@@ -78,15 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persist the probability-kernel caches to FILE across runs "
              "(loaded before the command, saved after; $MAE_KERNEL_CACHE "
              "sets a default)",
-    )
-    from repro.perf.backends import BACKEND_CHOICES
-
-    parser.add_argument(
-        "--backend", choices=list(BACKEND_CHOICES), default=None,
-        help="kernel evaluation backend: 'exact' (reference scalar "
-             "kernels, the default), 'numpy' (vectorized float64, "
-             "requires the [perf] extra), or 'auto' (numpy when "
-             "available, else exact; $MAE_BACKEND sets a default)",
     )
     sub = parser.add_subparsers(title="commands")
 
@@ -242,11 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="X",
                        help="fail unless the compiled-plan path is at "
                             "least X times the estimate_batch path")
-    bench.add_argument("--assert-backend-speedup", type=float, default=None,
-                       metavar="X",
-                       help="fail unless the numpy backend's batched "
-                            "row-sweep kernel phase is at least X times "
-                            "faster than exact (CI gate)")
     bench.add_argument("--assert-incremental-speedup", type=float,
                        default=None, metavar="X",
                        help="fail unless the incremental ECO path is at "
@@ -334,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "bit)")
     floorplan.add_argument("--spot-checks", type=int, default=8,
                            metavar="K",
-                           help="exact-backend recomputations of table "
+                           help="fresh-scan recomputations of table "
                                 "entries after the race (0 disables)")
     floorplan.add_argument("--json", default=None, metavar="FILE",
                            help="write the full result record as JSON")
@@ -431,14 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "envelope still follows --skip-envelope")
     verify.add_argument("--inject", type=float, default=None, metavar="X",
                         help="self-test: scale the direct standard-cell "
-                             "path AND the numpy backend's track kernel "
-                             "by X and require the harness to catch both "
-                             "divergences")
-    verify.add_argument("--backend-report", default=None, metavar="FILE",
-                        help="measure the numpy-vs-exact float error "
-                             "envelope over the corpus and write the "
-                             "artifact (VERIFY_backend_envelope.json "
-                             "format) to FILE")
+                             "path by X and require the harness to catch "
+                             "the divergence")
     verify.add_argument("--congestion-report", default=None, metavar="FILE",
                         help="route the corpus's standard-cell cases and "
                              "write the predicted-vs-routed channel "
@@ -908,22 +881,6 @@ def _cmd_bench(args) -> None:
             f"incremental ECO speedup {ratio:.2f}x meets the required "
             f"{args.assert_incremental_speedup:.2f}x"
         )
-    if args.assert_backend_speedup is not None:
-        ratio = record["speedups"].get("backend_numpy_vs_exact_sweep")
-        if ratio is None:
-            raise BenchmarkError(
-                "cannot assert backend speedup: the numpy backend was "
-                "not available for this bench run"
-            )
-        if ratio < args.assert_backend_speedup:
-            raise BenchmarkError(
-                f"numpy backend sweep speedup {ratio:.2f}x is below the "
-                f"required {args.assert_backend_speedup:.2f}x"
-            )
-        print(
-            f"numpy backend sweep speedup {ratio:.2f}x meets the "
-            f"required {args.assert_backend_speedup:.2f}x"
-        )
     if args.assert_serve_throughput is not None:
         rate = record["serve"]["estimates_per_sec"]
         if rate < args.assert_serve_throughput:
@@ -1038,7 +995,7 @@ def _cmd_floorplan(args) -> None:
         f"global HPWL {chip['hpwl']:.0f} lambda"
     )
     if result.spot_checks:
-        print(f"exact-backend spot checks passed: {result.spot_checks}")
+        print(f"spot checks passed: {result.spot_checks}")
     if args.checkpoint:
         print(f"checkpoint written to {args.checkpoint}")
     if args.json:
@@ -1159,7 +1116,6 @@ def _cmd_verify(args) -> None:
     from repro.verify import (
         VerifyOptions,
         load_records,
-        perturbed_backend,
         perturbed_standard_cell,
         replay_records,
         run_verify,
@@ -1197,15 +1153,7 @@ def _cmd_verify(args) -> None:
         if args.inject is not None
         else nullcontext()
     )
-    # The estimator perturbation trips plan_vs_direct; the backend
-    # perturbation trips backend_equivalence — inject both so every
-    # gate's alarm is exercised.
-    backend_injection = (
-        perturbed_backend(args.inject)
-        if args.inject is not None
-        else nullcontext()
-    )
-    with injection, backend_injection:
+    with injection:
         report = run_verify(options)
 
     for name, counts in sorted(report.check_counts.items()):
@@ -1239,34 +1187,6 @@ def _cmd_verify(args) -> None:
     if args.report is not None:
         path = report.save(args.report)
         print(f"report written to {path}")
-    if args.backend_report is not None:
-        from repro.perf.backends import get_backend
-        from repro.technology import cmos_process, nmos_process
-        from repro.verify import (
-            draw_corpus,
-            measure_backend_envelope,
-            save_backend_envelope,
-        )
-
-        if not get_backend("numpy").available:
-            raise VerificationError(
-                "--backend-report needs the numpy backend "
-                "(pip install repro[perf])"
-            )
-        envelope = measure_backend_envelope(
-            draw_corpus(args.seeds, args.base_seed),
-            {"standard-cell": cmos_process(),
-             "full-custom": nmos_process()},
-        )
-        save_backend_envelope(envelope, args.backend_report)
-        summary = envelope["summary"]
-        print(
-            f"backend envelope written to {args.backend_report}: "
-            f"{summary['cases']} cases, max spread error "
-            f"{summary['max_spread_error']:.3e}, max mean error "
-            f"{summary['max_mean_error']:.3e}, "
-            f"{summary['violations']} violation(s)"
-        )
     if args.congestion_report is not None:
         from repro.technology import cmos_process
         from repro.verify import (

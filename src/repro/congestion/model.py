@@ -27,13 +27,6 @@ overflows under the independence model.  It is consumed three ways:
 against routed track usage, and the portfolio floorplan race prices
 ``--routability-weight`` into its candidate costs through the plan
 cache (:meth:`repro.perf.plan.EstimationPlan.evaluate_congestion`).
-
-Backend contract: the probability grid comes from the selected
-backend (:mod:`repro.perf.backends`); everything downstream —
-allocation, the exceedance DP, the products — is shared Python
-accumulation in this module, so the numpy path is bit-identical to
-the exact path whenever the grids are (which they are by
-construction; see ``binary_float_power``).
 """
 
 from __future__ import annotations
@@ -45,8 +38,7 @@ from repro.core.config import EstimatorConfig
 from repro.errors import EstimationError
 from repro.netlist.model import Module
 from repro.netlist.stats import scan_module
-from repro.perf.backends import get_backend, resolve_backend_name
-from repro.perf.kernels import tracks_for_histogram
+from repro.perf.kernels import channel_crossing_grid, tracks_for_histogram
 from repro.technology.process import ProcessDatabase
 
 #: Fallback channel capacity (tracks) when neither the caller nor the
@@ -141,8 +133,7 @@ def _exceedance(
     overflow state: the pmf over 0..capacity crossings is convolved
     with one Bernoulli per net, mass walking past ``capacity`` is
     accumulated and never returns.  O(nets * capacity), plain Python
-    floats in histogram order — backend-independent, so bit-identical
-    grids give bit-identical exceedances.
+    floats in histogram order.
     """
     active = [
         (probability, count)
@@ -177,14 +168,12 @@ def congestion_distribution(
     rows: int,
     capacity: int,
     mode: str = "paper",
-    backend: Optional[str] = None,
 ) -> CongestionDistribution:
     """The per-channel congestion distribution for a (D, y_D) histogram.
 
     ``mode`` is the row-spread mode the Eq. 2-3 track counts use, so a
     congestion distribution always redistributes exactly the demand
-    the matching estimate charged.  ``backend`` resolves like every
-    planning API (None = process default).
+    the matching estimate charged.
     """
     if rows < 1:
         raise EstimationError(f"rows must be >= 1, got {rows}")
@@ -195,8 +184,7 @@ def congestion_distribution(
         for components, count in net_size_histogram
         if components >= 2
     )
-    engine = get_backend(backend)
-    grid = engine.crossing_probabilities(histogram, rows)
+    grid = channel_crossing_grid(histogram, rows)
     tracks = tracks_for_histogram(histogram, rows, mode)
     counts = tuple(count for _, count in histogram)
     # Per-entry normalisers: expected channels used, >= 1 for D >= 2.
@@ -249,7 +237,6 @@ class CongestionReport:
     rows: int
     capacity: int
     capacity_source: str
-    backend: str
     distribution: CongestionDistribution
 
     @property
@@ -271,7 +258,6 @@ def congestion_report(
     rows: Optional[int] = None,
     config: Optional[EstimatorConfig] = None,
     capacity: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> CongestionReport:
     """Scan ``module`` and build its congestion report.
 
@@ -290,7 +276,6 @@ def congestion_report(
     if rows < 1:
         raise EstimationError(f"rows must be >= 1, got {rows}")
     resolved_capacity, source = resolve_channel_capacity(process, capacity)
-    resolved_backend = resolve_backend_name(backend)
     stats = scan_module(
         module,
         device_width=process.device_width,
@@ -303,14 +288,12 @@ def congestion_report(
         rows,
         resolved_capacity,
         mode=config.row_spread_mode,
-        backend=resolved_backend,
     )
     return CongestionReport(
         module_name=module.name,
         rows=rows,
         capacity=resolved_capacity,
         capacity_source=source,
-        backend=resolved_backend,
         distribution=distribution,
     )
 
@@ -321,7 +304,6 @@ def routability_score(
     process: ProcessDatabase,
     capacity: Optional[int] = None,
     config: Optional[EstimatorConfig] = None,
-    backend: Optional[str] = None,
 ) -> float:
     """P(no channel of ``module`` at ``rows`` exceeds capacity).
 
@@ -335,7 +317,6 @@ def routability_score(
         rows=rows,
         config=config,
         capacity=capacity,
-        backend=backend,
     ).routability
 
 

@@ -87,9 +87,8 @@ def standard_cell_candidates_from_stats(
     # Deferred: repro.perf.plan imports repro.core.standard_cell.
     from repro.perf.plan import get_plan
 
-    # One batched plan evaluation covers the whole spread (the numpy
-    # backend's 2-D row-sweep kernel; bit-identical to the per-row
-    # direct path under exact via the plan_vs_direct invariant).
+    # One plan covers the whole spread (bit-identical to the per-row
+    # direct path via the plan_vs_direct invariant).
     plan = get_plan(stats, process, config)
     return list(plan.evaluate_rows(row_counts))
 

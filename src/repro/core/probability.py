@@ -98,7 +98,8 @@ def row_spread_pmf(
     ``mode="exact"`` uses the true multinomial denominator n**D (the
     distribution sums to 1 by construction).  ``mode="paper"`` uses the
     paper's exponent k = min(n, D) and renormalises, reproducing the
-    published heuristic; the two agree exactly when D <= n.
+    published heuristic.  The kernel normalises in integers, where
+    either denominator cancels, so both modes return the same PMF.
     """
     return _kernels.row_spread_pmf(components, rows, mode)
 

@@ -32,8 +32,11 @@ from typing import List, Optional, Tuple
 from repro.core.config import EstimatorConfig
 from repro.core.probability import expected_feedthroughs
 from repro.obs.trace import current_tracer
-from repro.perf.backends import current_backend
-from repro.perf.kernels import central_feedthrough_probability
+from repro.perf.kernels import (
+    central_feedthrough_probability,
+    feedthrough_mean_for_histogram,
+    tracks_for_histogram,
+)
 from repro.core.results import StandardCellEstimate
 from repro.errors import EstimationError
 from repro.netlist.model import Module
@@ -129,16 +132,12 @@ def sweep_rows(
     process: ProcessDatabase,
     row_counts: Tuple[int, ...],
     config: Optional[EstimatorConfig] = None,
-    backend: Optional[str] = None,
 ) -> List[StandardCellEstimate]:
     """Estimates at several row counts (the paper shows 2-3 per module
     in Table 2; "the area estimate decreased as the number of rows
     increased").
 
-    Results are in ``row_counts`` order.  ``backend`` selects the
-    kernel evaluation backend (``None``: the process default) — under
-    ``numpy`` the whole sweep is one 2-D (rows x net-size) kernel
-    evaluation.
+    Results are in ``row_counts`` order.
     """
     # Deferred: repro.perf.batch imports this module.
     from repro.perf.batch import estimate_batch
@@ -149,7 +148,6 @@ def sweep_rows(
         process,
         [config.with_rows(rows) for rows in row_counts],
         methodologies=("standard-cell",),
-        backend=backend,
     )
     return [result.estimate for result in results]
 
@@ -213,10 +211,9 @@ def _expected_tracks(
     tracer = current_tracer()
     with tracer.span("sc.tracks") as span:
         histogram = stats.multi_component_nets
-        # One backend call covers the whole histogram (under ``exact``,
-        # a cache hit returns every net size's Eq. 3 demand in a single
-        # lookup; under ``numpy``, one vectorized array pass).
-        per_net = current_backend().tracks_for_histogram(
+        # One kernel call covers the whole histogram: a cache hit
+        # returns every net size's Eq. 3 demand in a single lookup.
+        per_net = tracks_for_histogram(
             histogram, rows, config.row_spread_mode
         )
         per_size: List[Tuple[int, int]] = []
@@ -272,8 +269,8 @@ def _expected_feedthroughs(
                 span.set("feedthroughs", count)
             return count
         # General model: per net size D, Eq. 8 at the central row, the
-        # whole histogram in one backend call.
-        mean = current_backend().feedthrough_mean_for_histogram(
+        # whole histogram in one kernel call.
+        mean = feedthrough_mean_for_histogram(
             stats.multi_component_nets, rows, "general"
         )
         count = round_up(mean)

@@ -53,13 +53,6 @@ class StaleStatisticsError(EstimationError):
     was compiled for a different netlist state."""
 
 
-class BackendUnavailableError(EstimationError):
-    """A kernel evaluation backend was requested explicitly but its
-    runtime dependency (NumPy, for the ``numpy`` backend) is not
-    importable.  ``auto`` never raises this — it silently falls back to
-    the dependency-free ``exact`` backend."""
-
-
 class LayoutError(ReproError):
     """A layout flow (placement, routing, packing) failed."""
 

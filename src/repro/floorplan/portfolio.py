@@ -23,11 +23,11 @@ table through :func:`repro.perf.batch.estimate_batch` (one scan per
 module), serves misses through a per-module
 :class:`repro.incremental.IncrementalEstimator` whose compiled
 :class:`~repro.perf.plan.EstimationPlan` is revision-stamped and reused
-across moves, and runs row windows through the batched NumPy row-sweep
-kernel.  The ``serial`` engine is the before-picture: every query is a
-fresh :func:`~repro.core.standard_cell.estimate_standard_cell` rescan.
-Both engines produce **bit-identical trajectories** (the plan-vs-direct
-and backend-equivalence invariants), which is itself a verify gate.
+across moves, and evaluates whole row windows per miss.  The ``serial``
+engine is the before-picture: every query is a fresh
+:func:`~repro.core.standard_cell.estimate_standard_cell` rescan.  Both
+engines produce **bit-identical trajectories** (the plan-vs-direct
+invariant), which is itself a verify gate.
 
 Determinism and resume are structural, not incidental: every move draws
 from ``random.Random(f"{seed}:{searcher}:{step}")``, so the trajectory
@@ -85,9 +85,9 @@ _ASPECT_MAX = 2.5
 class PortfolioConfig:
     """Knobs of one optimizer run.
 
-    The identity fields (everything except ``checkpoint_every``,
-    ``backend`` and ``spot_checks``, which only change *how*
-    the same trajectory is computed) are embedded in checkpoints; a
+    The identity fields (everything except ``checkpoint_every`` and
+    ``spot_checks``, which only change *how* the same trajectory is
+    computed) are embedded in checkpoints; a
     resume against a different identity raises
     :class:`~repro.errors.CheckpointError`.
     """
@@ -100,7 +100,6 @@ class PortfolioConfig:
     routability_weight: float = 0.0
     row_window: int = 2
     checkpoint_every: int = 200
-    backend: Optional[str] = None
     spot_checks: int = 8
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
 
@@ -212,7 +211,6 @@ class SerialEstimateServer:
             rows,
             self._capacity,
             mode=estimator.row_spread_mode,
-            backend=self._config.backend,
         ).routability
         self._routability[key] = value
         return value
@@ -255,7 +253,6 @@ class CompiledEstimateServer:
             leaves,
             self._process,
             self._config.estimator,
-            backend=self._config.backend,
         )
         initial: Dict[str, int] = {}
         for result in results:
@@ -296,7 +293,6 @@ class CompiledEstimateServer:
                 self._process,
                 self._config.estimator,
                 copy_module=False,
-                backend=self._config.backend,
             )
             self._engines[name] = engine
         return engine
@@ -329,7 +325,6 @@ class CompiledEstimateServer:
                     self._process,
                     self._config.estimator,
                     expected_version=engine.stats_version,
-                    backend=self._config.backend,
                 )
             self._plans[name] = plan
         value = plan.evaluate_congestion(rows, self._capacity).routability
@@ -997,8 +992,8 @@ def _spot_check(
     config: PortfolioConfig,
     server: CompiledEstimateServer,
 ) -> int:
-    """Recompute a deterministic sample of table entries on the exact
-    backend from a fresh scan; any drift is a verification failure."""
+    """Recompute a deterministic sample of table entries from a fresh
+    scan and a fresh plan; any drift is a verification failure."""
     keys = sorted(server.table())
     if not keys:
         return 0
@@ -1014,7 +1009,7 @@ def _spot_check(
             power_nets=estimator.power_nets,
         )
         exact = compile_plan(
-            stats, process, estimator.with_rows(rows), backend="exact"
+            stats, process, estimator.with_rows(rows)
         ).evaluate(rows)
         table = server.table()[(name, rows)]
         if (exact.width, exact.height, exact.area) != (

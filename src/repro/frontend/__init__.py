@@ -6,7 +6,7 @@ real synthesis output.  :mod:`repro.frontend.blif` parses technology-
 mapped BLIF (what ``yosys``'s ``abc -liberty`` flow writes) onto the
 same flat :class:`~repro.netlist.model.Module` every other parser
 produces, so the canonical ``build_statistics`` scan path — and with
-it the plan cache, backends, incremental engine, service, and
+it the plan cache, incremental engine, service, and
 congestion model — works on ingested netlists unchanged.
 :mod:`repro.frontend.liberty` reads cell names, pin directions, and
 cell areas out of a Liberty ``.lib`` file into

@@ -89,13 +89,9 @@ class IncrementalEstimator:
         process: ProcessDatabase,
         config: Optional[EstimatorConfig] = None,
         copy_module: bool = True,
-        backend: Optional[str] = None,
     ):
         self.process = process
         self.config = config or EstimatorConfig()
-        #: Kernel backend name for every estimate served by this engine
-        #: (``None``: resolve against the process default per call).
-        self.backend = backend
         self._module = module.copy() if copy_module else module
         self._power = frozenset(p.lower() for p in self.config.power_nets)
         self._port_pitch = (
@@ -207,7 +203,6 @@ class IncrementalEstimator:
             plan = get_plan(
                 stats, self.process, self.config,
                 expected_version=self._version,
-                backend=self.backend,
             )
             reused = plan is self._last_plan
             self._last_plan = plan
@@ -231,10 +226,9 @@ class IncrementalEstimator:
         """Eq. 12 estimates at several row counts in one planning call.
 
         The multi-row form of :meth:`estimate`: one plan lookup, then
-        :meth:`~repro.perf.plan.EstimationPlan.evaluate_rows` — a
-        single batched 2-D kernel evaluation under the numpy backend, a
-        per-row loop under exact, bit-identical either way.  The
-        service facade coalesces concurrent requests for one session
+        :meth:`~repro.perf.plan.EstimationPlan.evaluate_rows`,
+        bit-identical to one :meth:`estimate` per row.  The service
+        facade coalesces concurrent requests for one session
         into this call.
         """
         row_counts = tuple(row_counts)
@@ -246,7 +240,6 @@ class IncrementalEstimator:
             plan = get_plan(
                 stats, self.process, self.config,
                 expected_version=self._version,
-                backend=self.backend,
             )
             reused = plan is self._last_plan
             self._last_plan = plan

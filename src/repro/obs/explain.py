@@ -490,7 +490,7 @@ def format_congestion_explanation(report) -> str:
     worst = report.worst_channel
     lines = [
         f"congestion report for {report.module_name} "
-        f"(n={report.rows} rows, backend={report.backend})",
+        f"(n={report.rows} rows)",
         "",
         f"channel capacity: {report.capacity} tracks "
         f"(source: {source})",

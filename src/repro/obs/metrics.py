@@ -59,14 +59,12 @@ class MetricsRegistry:
         """One JSON-ready view of everything observable.
 
         ``{"counters": {...}, "kernels": {name: {hits, misses, entries,
-        bypasses, hit_rate}}, "plans": {...}, "triangle": {...},
-        "backend": {default, available, backends}}`` — the
-        ``kernels``, ``plans``, ``triangle``, and ``backend`` sections
-        are read live from this process's caches and match the shapes
-        recorded in ``BENCH_batch_engine.json``.
+        bypasses, hit_rate}}, "plans": {...}, "triangle": {...}}`` — the
+        ``kernels``, ``plans`` and ``triangle`` sections are read live
+        from this process's caches and match the shapes recorded in
+        ``BENCH_batch_engine.json``.
         """
         # Imported lazily for the same reason as kernel_cache_snapshot.
-        from repro.perf.backends import backend_stats
         from repro.perf.kernels import surjection_triangle_stats
         from repro.perf.plan import plan_cache_stats
 
@@ -75,7 +73,6 @@ class MetricsRegistry:
             "kernels": kernel_cache_snapshot(),
             "plans": plan_cache_stats(),
             "triangle": surjection_triangle_stats(),
-            "backend": backend_stats(),
         }
 
 

@@ -24,17 +24,10 @@ estimators' *math* untouched while removing the repeated work:
 * :mod:`repro.perf.diskcache` — opt-in on-disk persistence of the
   kernel caches (``--kernel-cache`` / ``$MAE_KERNEL_CACHE``), versioned
   and validated on load.
-* :mod:`repro.perf.backends` — pluggable kernel evaluation backends:
-  ``exact`` (the memoized scalar kernels, the reference semantics) and
-  ``numpy`` (whole-histogram float64 vectorization with a near-integer
-  guard band and per-net exact fallback), selected by ``--backend`` /
-  ``$MAE_BACKEND`` and threaded through plans, batches, and the
-  incremental engine.
 * :mod:`repro.perf.bench` — the perf-trajectory harness that times the
-  Table 1/2 suites, a large synthetic sweep, the plan-vs-direct paths
-  and the exact-vs-numpy backend phases, and
-  writes ``BENCH_batch_engine.json`` so every future PR's speedups (or
-  regressions) land in a machine-readable trajectory.
+  Table 1/2 suites, a large synthetic sweep and the plan-vs-direct
+  paths, and writes ``BENCH_batch_engine.json`` so every future PR's
+  speedups (or regressions) land in a machine-readable trajectory.
 """
 
 from repro.perf.kernels import (
@@ -65,16 +58,6 @@ _LAZY_EXPORTS = {
     "persistent_kernel_caches": "diskcache",
     "resolve_cache_path": "diskcache",
     "save_kernel_caches": "diskcache",
-    "ExactBackend": "backends",
-    "NumpyBackend": "backends",
-    "available_backends": "backends",
-    "backend_stats": "backends",
-    "current_backend": "backends",
-    "current_backend_name": "backends",
-    "get_backend": "backends",
-    "resolve_backend_name": "backends",
-    "set_default_backend": "backends",
-    "use_backend": "backends",
 }
 
 
@@ -93,31 +76,21 @@ __all__ = [
     "BatchTask",
     "CacheStats",
     "EstimationPlan",
-    "ExactBackend",
-    "NumpyBackend",
-    "available_backends",
-    "backend_stats",
     "cache_enabled",
     "caches_disabled",
     "clear_kernel_caches",
     "clear_plan_cache",
     "compile_plan",
-    "current_backend",
-    "current_backend_name",
     "estimate_batch",
-    "get_backend",
     "get_plan",
     "install_kernel_caches",
     "kernel_cache_stats",
     "load_kernel_caches",
     "persistent_kernel_caches",
     "plan_cache_stats",
-    "resolve_backend_name",
     "resolve_cache_path",
     "save_kernel_caches",
     "set_cache_enabled",
-    "set_default_backend",
     "snapshot_kernel_caches",
     "surjection_triangle_stats",
-    "use_backend",
 ]

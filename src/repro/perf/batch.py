@@ -16,8 +16,8 @@ process-wide via :mod:`repro.perf.kernels`).
   row count and methodology;
 * standard-cell tasks evaluate through compiled
   :class:`~repro.perf.plan.EstimationPlan` objects (one compilation per
-  module per distinct config family, then one array-at-once evaluation
-  per run of row counts).
+  module per distinct config family, then one plan lookup per run of
+  row counts).
 
 The whole batch runs in the calling process and is bit-identical to
 per-call estimation.  The sweep helpers (``sweep_rows``, Table 1/2
@@ -27,7 +27,7 @@ drivers, the ablations) all route through here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Sequence, Tuple, Union
 
 from repro.core.config import EstimatorConfig
 from repro.core.full_custom import estimate_full_custom
@@ -36,7 +36,6 @@ from repro.errors import EstimationError
 from repro.netlist.model import Module
 from repro.netlist.stats import ModuleStatistics, scan_module
 from repro.obs.trace import current_tracer
-from repro.perf.backends import resolve_backend_name
 from repro.perf.plan import get_plan
 from repro.technology.process import ProcessDatabase
 
@@ -73,7 +72,6 @@ def estimate_batch(
         Sequence[Sequence[EstimatorConfig]],
     ],
     methodologies: Iterable[str] = ("standard-cell",),
-    backend: Optional[str] = None,
 ) -> List[BatchResult]:
     """Estimate every (module x methodology x config) combination.
 
@@ -90,10 +88,6 @@ def estimate_batch(
         differ per module).
     methodologies:
         Subset of ``("standard-cell", "full-custom")``.
-    backend:
-        Kernel evaluation backend name (``None``: the process default,
-        see :mod:`repro.perf.backends`).  Resolved once up front, so
-        every task of the batch runs on the same backend.
 
     Returns
     -------
@@ -112,7 +106,6 @@ def estimate_batch(
 
     modules = list(modules)
     per_module_configs = _normalise_configs(modules, configs)
-    backend_name = resolve_backend_name(backend)
     tracer = current_tracer()
 
     with tracer.span("batch.estimate") as batch_span:
@@ -121,7 +114,7 @@ def estimate_batch(
             zip(modules, per_module_configs)
         ):
             cursor = iter(_run_group(
-                module, process, methodologies, module_configs, backend_name
+                module, process, methodologies, module_configs
             ))
             for methodology in methodologies:
                 for config in module_configs:
@@ -146,9 +139,7 @@ def estimate_batch(
     return results
 
 
-def _run_group(
-    module, process, methodologies, configs, backend_name
-) -> List[Estimate]:
+def _run_group(module, process, methodologies, configs) -> List[Estimate]:
     """All (methodology x config) estimates for one module, in order.
 
     The schematic scan is shared across every config with the same scan
@@ -186,15 +177,12 @@ def _run_group(
             continue
         # Compiled-plan path: one compilation per (stats, config
         # family), and consecutive configs that differ only in their
-        # explicit row count — the row-sweep shape — collapse into one
-        # batched plan.evaluate_rows() call (the numpy backend's 2-D
-        # kernel; a plain loop under exact).
+        # explicit row count — the row-sweep shape — share one plan
+        # lookup and one plan.evaluate_rows() call.
         index = 0
         while index < len(configs):
             config = configs[index]
-            plan = get_plan(
-                stats_for(config), process, config, backend=backend_name
-            )
+            plan = get_plan(stats_for(config), process, config)
             run = [config]
             if config.rows is not None:
                 family = config.with_rows(None)

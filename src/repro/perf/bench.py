@@ -48,7 +48,6 @@ import json
 import math
 import os
 import platform
-import random
 import sys
 import time
 from pathlib import Path
@@ -86,7 +85,7 @@ from repro.workloads.generators import (
 )
 from repro.workloads.suites import table1_suite, table2_suite
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 BENCH_NAME = "batch_engine"
 DEFAULT_OUTPUT = "BENCH_batch_engine.json"
 
@@ -156,41 +155,6 @@ def synthetic_sweep_modules(count: int = 50, seed: int = 7) -> List[Module]:
                 name, words=4 + scale, bits=4 + scale,
             ))
     return modules
-
-
-def backend_stress_histograms(
-    count: int = 24,
-    entries: int = 256,
-    max_size: int = 290,
-    seed: int = 17,
-) -> List[Tuple[Tuple[int, int], ...]]:
-    """Deterministic wide-histogram population for the backend phases.
-
-    (D, y_D) histograms with hundreds of distinct net sizes reaching
-    into the large-fanout regime (D approaching 300, near the float
-    conversion ceiling of the exact kernels' Eq. 2 weights) — the shape
-    estimator-in-the-loop flows feed the kernel layer, and the regime
-    where scalar big-int arithmetic is genuinely expensive.  Generated
-    directly as histograms: the backend phases time the kernel layer,
-    which consumes scanned statistics, so module construction would
-    only add scan noise.
-    """
-    if count < 1:
-        raise BenchmarkError(f"histogram count must be >= 1, got {count}")
-    if entries < 1:
-        raise BenchmarkError(f"entry count must be >= 1, got {entries}")
-    if max_size < 4:
-        raise BenchmarkError(f"max net size must be >= 4, got {max_size}")
-    rng = random.Random(seed)
-    population: List[Tuple[Tuple[int, int], ...]] = []
-    for index in range(count):
-        sizes = sorted(rng.sample(
-            range(2, max_size), min(entries, max_size - 2)
-        ))
-        population.append(tuple(
-            (size, 1 + (size + index) % 9) for size in sizes
-        ))
-    return population
 
 
 # ----------------------------------------------------------------------
@@ -300,8 +264,8 @@ def run_bench(
     sweep_configs = [EstimatorConfig(rows=rows) for rows in row_counts]
     sweep_items = len(sweep) * len(row_counts)
     default_config = EstimatorConfig()
-    # Scanned once, outside every timed phase: the plan and backend
-    # phases below start from statistics, and the mode-collapse audit
+    # Scanned once, outside every timed phase: the plan phases below
+    # start from statistics, and the mode-collapse audit
     # walks the same histogram population.
     sweep_stats = [
         scan_module(
@@ -450,124 +414,6 @@ def run_bench(
         "module_devices": eco_module.device_count,
         "edits": eco_edit_count,
     }
-
-    # ---- backend kernels: exact scalar vs vectorized float64 ---------
-    # These phases time the kernel layer in isolation — whole-histogram
-    # track vectors and feed-through means, the exact work the numpy
-    # backend vectorizes — on the wide-histogram large-fanout
-    # population the motivation's estimator-in-the-loop flows feed it.
-    # Every evaluation starts cold on BOTH sides (exact memo tables and
-    # surjection triangle emptied, numpy log-factorial/log-surjection
-    # arrays dropped), modelling independent one-shot evaluations of
-    # novel histograms; the memoized steady state on repeated
-    # populations is what the synthetic_* phases above already measure.
-    # Estimate assembly (Eq. 12) is identical under either backend and
-    # is deliberately excluded here; the ECO pair keeps the whole
-    # engine in, which is why its ratio is the modest end-to-end
-    # number.
-    from repro.errors import BackendUnavailableError
-    from repro.perf.backends import get_backend
-    from repro.units import round_up
-
-    exact_backend = get_backend("exact")
-    try:
-        numpy_backend = get_backend("numpy")
-    except BackendUnavailableError:
-        numpy_backend = None
-
-    if numpy_backend is None:
-        backend_section: dict = {"available": False}
-    else:
-        stress = backend_stress_histograms(
-            count=6 if smoke else 24,
-            entries=64 if smoke else 256,
-        )
-        backend_net_entries = sum(len(h) for h in stress)
-        single_items = len(stress) * len(row_counts)
-
-        def backend_cold():
-            clear_kernel_caches()
-            clear_plan_cache()
-            numpy_backend.reset()
-
-        def backend_single(backend):
-            def run():
-                results = []
-                for histogram in stress:
-                    backend_cold()
-                    for rows in row_counts:
-                        results.append((
-                            backend.tracks_for_histogram(
-                                histogram, rows, "paper"
-                            ),
-                            round_up(backend.feedthrough_mean_for_histogram(
-                                histogram, rows, "general"
-                            )),
-                        ))
-                return results
-            return run
-
-        def backend_sweep(backend):
-            def run():
-                results = []
-                for histogram in stress:
-                    backend_cold()
-                    results.append((
-                        backend.tracks_for_histogram_rows(
-                            histogram, row_counts, "paper"
-                        ),
-                        tuple(
-                            round_up(mean)
-                            for mean in backend.feedthrough_means_for_rows(
-                                histogram, row_counts, "general"
-                            )
-                        ),
-                    ))
-                return results
-            return run
-
-        def backend_eco(backend_name: str):
-            def run():
-                engine = IncrementalEstimator(
-                    eco_module, process, default_config,
-                    backend=backend_name,
-                )
-                return [
-                    engine.estimate_after(mutation)
-                    for mutation in eco_edits
-                ]
-            return run
-
-        exact_single = timed("backend_exact_single", single_items,
-                             backend_single(exact_backend))
-        numpy_single = timed("backend_numpy_single", single_items,
-                             backend_single(numpy_backend))
-        exact_sweep = timed("backend_exact_sweep", len(stress),
-                            backend_sweep(exact_backend))
-        numpy_sweep = timed("backend_numpy_sweep", len(stress),
-                            backend_sweep(numpy_backend))
-        # Counter snapshot covers the last headline evaluation (the
-        # per-evaluation cold start resets counters with the tables).
-        numpy_stats = numpy_backend.stats()
-        backend_cold()
-        exact_eco = timed("backend_exact_eco", eco_edit_count,
-                          backend_eco("exact"))
-        backend_cold()
-        numpy_eco = timed("backend_numpy_eco", eco_edit_count,
-                          backend_eco("numpy"))
-        equivalence["backend_single"] = exact_single == numpy_single
-        equivalence["backend_sweep"] = exact_sweep == numpy_sweep
-        equivalence["backend_eco"] = exact_eco == numpy_eco
-        backend_section = {
-            "available": True,
-            "histograms": len(stress),
-            "net_entries": backend_net_entries,
-            "max_net_size": max(
-                size for histogram in stress for size, _ in histogram
-            ),
-            "row_counts": list(row_counts),
-            "numpy": numpy_stats,
-        }
 
     # ---- serve: the live service under concurrent sessions -----------
     from repro.service.engine import EstimationEngine, ServiceConfig
@@ -784,19 +630,6 @@ def run_bench(
     speedups["incremental_vs_rebuild"] = _ratio(
         timings["eco_rebuild_per_edit"], timings["eco_incremental"]
     )
-    if backend_section["available"]:
-        # The headline backend number: the rows-batched vectorized
-        # kernel versus the cold exact scalar kernels on the same
-        # histogram population.
-        speedups["backend_numpy_vs_exact_single"] = _ratio(
-            timings["backend_exact_single"], timings["backend_numpy_single"]
-        )
-        speedups["backend_numpy_vs_exact_sweep"] = _ratio(
-            timings["backend_exact_sweep"], timings["backend_numpy_sweep"]
-        )
-        speedups["backend_numpy_vs_exact_eco"] = _ratio(
-            timings["backend_exact_eco"], timings["backend_numpy_eco"]
-        )
     # The headline floorplan number: the whole race, end to end, in
     # modules/sec — equal move counts, so the wall-time ratio is the
     # throughput ratio.
@@ -835,7 +668,6 @@ def run_bench(
             "triangle": triangle_section,
         },
         "incremental": incremental_section,
-        "backend": backend_section,
         "serve": serve_section,
         "floorplan": floorplan_section,
         "equivalence": equivalence,
@@ -925,27 +757,6 @@ def validate_bench_record(record: dict) -> None:
         raise BenchmarkError(
             "speedups is missing the 'incremental_vs_rebuild' ratio"
         )
-
-    backend = _require(record, "backend", dict)
-    backend_available = _require(backend, "available", bool,
-                                 context="backend")
-    if backend_available:
-        for field in ("histograms", "net_entries"):
-            value = _require(backend, field, int, context="backend")
-            if value < 1:
-                raise BenchmarkError(
-                    f"backend.{field} must be >= 1, got {value}"
-                )
-        _require(backend, "row_counts", list, context="backend")
-        _require(backend, "numpy", dict, context="backend")
-        for name in ("backend_numpy_vs_exact_single",
-                     "backend_numpy_vs_exact_sweep",
-                     "backend_numpy_vs_exact_eco"):
-            if name not in speedups:
-                raise BenchmarkError(
-                    f"speedups is missing the {name!r} ratio (backend "
-                    "phases ran, so the ratios must be recorded)"
-                )
 
     floorplan = _require(record, "floorplan", dict)
     for field in ("modules", "steps"):
@@ -1184,13 +995,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fail unless the incremental ECO path is at "
                              "least X times rebuild-per-edit (CI guard "
                              "against delta-engine regressions)")
-    parser.add_argument("--assert-backend-speedup", type=float,
-                        default=None, metavar="X",
-                        help="fail unless the vectorized numpy backend is "
-                             "at least X times the exact kernels on the "
-                             "rows-batched sweep (CI guard against "
-                             "vectorization regressions; errors when "
-                             "NumPy is unavailable)")
     parser.add_argument("--assert-serve-throughput", type=float,
                         default=None, metavar="EPS",
                         help="fail unless the serve phase sustains at "
@@ -1263,26 +1067,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"incremental ECO speedup {ratio:.2f}x meets the required "
             f"{args.assert_incremental_speedup:.2f}x"
-        )
-    if args.assert_backend_speedup is not None:
-        ratio = record["speedups"].get("backend_numpy_vs_exact_sweep")
-        if ratio is None:
-            print(
-                "error: --assert-backend-speedup requires the numpy "
-                "backend, which was not available in this run",
-                file=sys.stderr,
-            )
-            return 1
-        if ratio < args.assert_backend_speedup:
-            print(
-                f"error: numpy backend sweep speedup {ratio:.2f}x is "
-                f"below the required {args.assert_backend_speedup:.2f}x",
-                file=sys.stderr,
-            )
-            return 1
-        print(
-            f"numpy backend sweep speedup {ratio:.2f}x meets the "
-            f"required {args.assert_backend_speedup:.2f}x"
         )
     if args.assert_serve_throughput is not None:
         rate = record["serve"]["estimates_per_sec"]

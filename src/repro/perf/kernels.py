@@ -52,8 +52,7 @@ ROW_SPREAD_MODES = ("paper", "exact")
 def _canonical_mode(components: int, rows: int, mode: str) -> str:
     """Collapse equivalent (D, n, mode) cache keys onto one.
 
-    When ``D <= n`` the two modes are *literally* the same arithmetic:
-    ``max_spread = D`` and both denominators are ``rows ** D``, so the
+    When ``D <= n`` the two modes share the exponent ``D``, so the
     PMF — and everything derived from it — is bit-identical.  Keying
     those calls under ``"paper"`` lets mixed-mode workloads (the verify
     suite runs both) share one cache entry instead of recomputing the
@@ -385,22 +384,22 @@ def _row_spread_pmf(components: int, rows: int, mode: str) -> Tuple[float, ...]:
     _check_positive("components", components)
     _check_positive("rows", rows)
     max_spread = min(rows, components)
-    if mode == "exact":
-        denominator = rows ** components
-    else:
-        denominator = rows ** max_spread
     counts = surjection_table_kernel(components, max_spread)
     raw = [
         math.comb(rows, i) * counts[i - 1]
         for i in range(1, max_spread + 1)
     ]
-    weights = [value / denominator for value in raw]
-    total = sum(weights)
+    # Normalise in integers: the mode's denominator (rows**D or
+    # rows**min(n, D)) cancels under renormalisation, and int / int is
+    # correctly rounded however large both sides grow, so high-fanout
+    # nets never overflow a float intermediate.  Both modes therefore
+    # yield the same PMF.
+    total = sum(raw)
     if total <= 0:
         raise EstimationError(
             f"degenerate row-spread distribution for D={components}, n={rows}"
         )
-    return tuple(weight / total for weight in weights)
+    return tuple(value / total for value in raw)
 
 
 row_spread_pmf_kernel = _kernel(_row_spread_pmf)
@@ -616,13 +615,12 @@ def binary_float_power(base: float, exponent: int) -> float:
     """``base ** exponent`` by right-to-left square-and-multiply.
 
     The congestion kernels need one exponentiation algorithm whose
-    scalar and vectorized evaluations agree bit-for-bit.  libm ``pow``
-    (what ``float ** int`` and ``np.power`` reach) makes no such
-    promise across implementations, but IEEE-754 multiplication does:
-    this ladder performs the identical sequence of correctly-rounded
-    multiplies whether ``base`` is a Python float or a NumPy array
-    element, so the exact scalar path and the numpy grid path produce
-    the same bits by construction.
+    results do not depend on the platform.  libm ``pow`` (what
+    ``float ** int`` reaches) makes no such promise across
+    implementations, but IEEE-754 multiplication does: this ladder
+    performs the same sequence of correctly-rounded multiplies
+    everywhere, so the per-cell and whole-grid crossing kernels produce
+    the same bits on every host.
     """
     if exponent < 0:
         raise EstimationError(f"exponent must be >= 0, got {exponent}")

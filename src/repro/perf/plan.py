@@ -41,8 +41,11 @@ from repro.core.standard_cell import choose_initial_rows
 from repro.errors import EstimationError, StaleStatisticsError
 from repro.netlist.stats import ModuleStatistics
 from repro.obs.trace import current_tracer
-from repro.perf.backends import get_backend, resolve_backend_name
-from repro.perf.kernels import central_feedthrough_probability
+from repro.perf.kernels import (
+    central_feedthrough_probability,
+    feedthrough_mean_for_histogram,
+    tracks_for_histogram,
+)
 from repro.technology.process import ProcessDatabase
 from repro.units import round_up
 
@@ -62,7 +65,7 @@ class EstimationPlan:
         "stats", "process", "config", "histogram", "net_sizes",
         "net_counts", "routed_net_count", "device_count", "average_width",
         "cell_area", "row_height", "track_pitch", "feedthrough_unit_width",
-        "backend_name", "_congestion_memo",
+        "_congestion_memo",
     )
 
     def __init__(
@@ -70,14 +73,9 @@ class EstimationPlan:
         stats: ModuleStatistics,
         process: ProcessDatabase,
         config: EstimatorConfig,
-        backend: Optional[str] = None,
     ):
         self.stats = stats
         self.process = process
-        #: Plans store the *name* of their kernel backend (resolved at
-        #: compile time — ``None`` means the process default) and look
-        #: the instance up per evaluation.
-        self.backend_name = resolve_backend_name(backend)
         #: Row count is an evaluate()-time argument, never plan state.
         self.config = config.with_rows(None)
         #: The (D, y_D) histogram, frozen once (the property rebuilds
@@ -115,61 +113,18 @@ class EstimationPlan:
                     f"row count must be >= 1, got {rows}"
                 )
 
-            per_size = get_backend(self.backend_name).tracks_for_histogram(
+            per_size = tracks_for_histogram(
                 self.histogram, rows, config.row_spread_mode
             )
-            estimate = self._assemble(rows, per_size, None, tracer, span)
+            estimate = self._assemble(rows, per_size, tracer, span)
         _note_evaluation()
         return estimate
 
     def evaluate_rows(
         self, row_counts
     ) -> Tuple[StandardCellEstimate, ...]:
-        """The Eq. 12 estimates at every row count, in one batched pass.
-
-        Under the ``exact`` backend this is a plain loop over
-        :meth:`evaluate` (bit-identity is trivial); under ``numpy`` the
-        track demands for *all* candidate row counts come from one 2-D
-        (rows x net-size) kernel evaluation and the feed-through means
-        from one batched call, with only the scalar Eq. 12 assembly per
-        row — the kernel that makes ``sweep_rows`` and the C2 iteration
-        loop one array pass instead of a per-row scalar walk.
-        """
-        row_counts = tuple(row_counts)
-        if not row_counts:
-            return ()
-        backend = get_backend(self.backend_name)
-        if backend.name == "exact":
-            return tuple(self.evaluate(rows) for rows in row_counts)
-        config = self.config
-        for rows in row_counts:
-            if rows is None or rows < 1:
-                raise EstimationError(
-                    f"row count must be >= 1, got {rows}"
-                )
-        per_size_rows = backend.tracks_for_histogram_rows(
-            self.histogram, row_counts, config.row_spread_mode
-        )
-        if config.feedthrough_model == "two-component":
-            means = None
-        else:
-            means = backend.feedthrough_means_for_rows(
-                self.histogram, row_counts, "general"
-            )
-        tracer = current_tracer()
-        estimates = []
-        for index, rows in enumerate(row_counts):
-            with tracer.span("plan.evaluate") as span:
-                estimate = self._assemble(
-                    rows,
-                    per_size_rows[index],
-                    None if means is None else means[index],
-                    tracer,
-                    span,
-                )
-            _note_evaluation()
-            estimates.append(estimate)
-        return tuple(estimates)
+        """The Eq. 12 estimates at every row count, in order."""
+        return tuple(self.evaluate(rows) for rows in row_counts)
 
     def evaluate_congestion(self, rows: int, capacity: Optional[int] = None):
         """The per-channel congestion distribution at ``rows``, memoized.
@@ -179,9 +134,7 @@ class EstimationPlan:
         plan prices routability against the same routing budget every
         other consumer of the process sees.  Results are memoized per
         ``(rows, capacity)`` — the floorplan race revisits the same row
-        counts constantly — and the arithmetic runs on the plan's own
-        backend, so serial and compiled portfolio servers stay
-        bit-identical.
+        counts constantly.
         """
         from repro.congestion.model import (
             congestion_distribution,
@@ -199,7 +152,6 @@ class EstimationPlan:
                 rows,
                 resolved,
                 mode=self.config.row_spread_mode,
-                backend=self.backend_name,
             )
             self._congestion_memo[key] = distribution
         return distribution
@@ -208,12 +160,10 @@ class EstimationPlan:
         self,
         rows: int,
         per_size: Tuple[int, ...],
-        feedthrough_mean: Optional[float],
         tracer,
         span,
     ) -> StandardCellEstimate:
-        """Scalar Eq. 12 assembly from precomputed per-net-size tracks
-        (and, on the batched path, a precomputed feed-through mean)."""
+        """Scalar Eq. 12 assembly from precomputed per-net-size tracks."""
         config = self.config
         total = 0
         for tracks_per_net, count in zip(per_size, self.net_counts):
@@ -233,7 +183,7 @@ class EstimationPlan:
             shared = math.ceil(total * config.track_sharing_factor)
         tracks = shared
 
-        feedthroughs = self._feedthroughs(rows, tracer, feedthrough_mean)
+        feedthroughs = self._feedthroughs(rows, tracer)
 
         cell_width_per_row = (
             self.average_width * self.device_count / rows
@@ -271,9 +221,7 @@ class EstimationPlan:
             area=area,
         )
 
-    def _feedthroughs(
-        self, rows: int, tracer, mean: Optional[float] = None
-    ) -> int:
+    def _feedthroughs(self, rows: int, tracer) -> int:
         config = self.config
         if rows < 3:
             # No interior row exists; nothing can straddle a row.
@@ -281,10 +229,9 @@ class EstimationPlan:
         if config.feedthrough_model == "two-component":
             probability = central_feedthrough_probability(rows)
             return expected_feedthroughs(self.routed_net_count, probability)
-        if mean is None:
-            mean = get_backend(
-                self.backend_name
-            ).feedthrough_mean_for_histogram(self.histogram, rows, "general")
+        mean = feedthrough_mean_for_histogram(
+            self.histogram, rows, "general"
+        )
         if tracer.enabled:
             tracer.metrics.incr("feedthrough.mean_sum", mean)
         return round_up(mean)
@@ -300,7 +247,6 @@ def compile_plan(
     stats: ModuleStatistics,
     process: ProcessDatabase,
     config: Optional[EstimatorConfig] = None,
-    backend: Optional[str] = None,
 ) -> EstimationPlan:
     """Compile a fresh plan (no cache), validating the inputs exactly
     like the direct estimator."""
@@ -310,7 +256,7 @@ def compile_plan(
             f"module {stats.module_name!r}: cannot estimate an empty module"
         )
     _PLAN_COUNTERS["compilations"] += 1
-    return EstimationPlan(stats, process, config, backend)
+    return EstimationPlan(stats, process, config)
 
 
 # ----------------------------------------------------------------------
@@ -324,19 +270,15 @@ def _plan_key(
     stats: ModuleStatistics,
     process: ProcessDatabase,
     config: EstimatorConfig,
-    backend_name: str,
 ) -> tuple:
     # Only these three process constants reach the Eq. 12 arithmetic
     # (device geometry is already baked into the scan statistics), so
-    # they — not object identity — define plan equivalence.  The
-    # backend is part of the key: a plan compiled for ``numpy`` must
-    # never be served to an ``exact`` caller (and vice versa).
+    # they — not object identity — define plan equivalence.
     return (
         stats,
         (process.row_height, process.track_pitch,
          process.feedthrough_width),
         config.with_rows(None),
-        backend_name,
     )
 
 
@@ -345,7 +287,6 @@ def get_plan(
     process: ProcessDatabase,
     config: Optional[EstimatorConfig] = None,
     expected_version: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> EstimationPlan:
     """The cached plan for this (stats, process, config-sans-rows)
     triple, compiling on first use.
@@ -367,11 +308,10 @@ def get_plan(
             f"{expected_version} was expected — rescan (or re-snapshot "
             "the incremental engine) before planning"
         )
-    backend_name = resolve_backend_name(backend)
-    key = _plan_key(stats, process, config, backend_name)
+    key = _plan_key(stats, process, config)
     plan = _PLAN_CACHE.get(key)
     if plan is None:
-        plan = compile_plan(stats, process, config, backend_name)
+        plan = compile_plan(stats, process, config)
         _PLAN_CACHE[key] = plan
     else:
         _PLAN_COUNTERS["hits"] += 1

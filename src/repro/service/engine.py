@@ -17,8 +17,8 @@ the HTTP 429 backpressure signal) and are drained by a **single
 dispatcher thread**.  Each drain takes every queued request (up to
 ``coalesce_limit``), groups them by session, and serves each group with
 *one* planning call — multi-row groups go through
-:meth:`~repro.incremental.IncrementalEstimator.estimate_rows`, a single
-batched kernel evaluation under the numpy backend.  Every route is
+:meth:`~repro.incremental.IncrementalEstimator.estimate_rows`, one plan
+lookup for the whole group.  Every route is
 bit-identical to a direct
 :func:`~repro.core.standard_cell.estimate_standard_cell_from_stats`
 call — the ``serve_equivalence`` verify gate enforces it.
@@ -83,7 +83,6 @@ class ServiceConfig:
     queue_limit: int = 256
     coalesce_limit: int = 32
     request_timeout: float = 30.0
-    backend: Optional[str] = None
     kernel_cache: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -142,7 +141,6 @@ class Session:
             "nets": len(module.nets),
             "ports": module.port_count,
             "process": self.process.name,
-            "backend": self.engine.backend,
             "version": self.engine.stats_version,
             "estimates_served": self.estimates_served,
             "edits_applied": self.edits_applied,
@@ -214,7 +212,6 @@ class EstimationEngine:
         process: ProcessDatabase,
         config: Optional[EstimatorConfig] = None,
         name: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> Session:
         """Open a session around a parsed module.
 
@@ -222,10 +219,7 @@ class EstimationEngine:
         no shared cache) into a live ``IncrementalEstimator``.  The
         module is copied, so the caller's instance stays untouched.
         """
-        estimator = IncrementalEstimator(
-            module, process, config,
-            backend=backend if backend is not None else self.config.backend,
-        )
+        estimator = IncrementalEstimator(module, process, config)
         with self._cv:
             if self._closed:
                 raise ServiceClosedError("engine is shut down")
@@ -364,7 +358,7 @@ class EstimationEngine:
 
     def metrics(self) -> dict:
         """The full ``/metrics`` payload: the :mod:`repro.obs` registry
-        snapshot (counters, kernel caches, plans, triangle, backend)
+        snapshot (counters, kernel caches, plans, triangle)
         plus the ``service`` section."""
         snapshot = get_registry().snapshot()
         snapshot["service"] = self.service_stats()

@@ -78,6 +78,10 @@ CONFIG_FIELDS = (
     "power_nets", "max_aspect",
 )
 
+#: The top-level fields ``POST /sessions`` reads; any other field is
+#: rejected (400) rather than silently ignored.
+SESSION_FIELDS = ("source", "format", "tech", "config", "name")
+
 _PARSERS = {"verilog": parse_verilog, "spice": parse_spice}
 
 
@@ -382,6 +386,12 @@ def _make_handler(server: MAEServer):
         # --------------------------------------------------------------
         def _create_session(self) -> dict:
             body = self._json_body()
+            unknown = set(body) - set(SESSION_FIELDS)
+            if unknown:
+                raise _HTTPFail(
+                    400, f"unknown session fields {sorted(unknown)} "
+                         f"(accepted: {', '.join(SESSION_FIELDS)})"
+                )
             module = _parse_module(body)
             tech = body.get("tech", "nmos")
             process = server.processes.get(tech)
@@ -391,14 +401,11 @@ def _make_handler(server: MAEServer):
                          f"(available: {sorted(server.processes)})"
                 )
             config = config_from_jsonable(body.get("config"))
-            backend = body.get("backend")
-            if backend is not None and not isinstance(backend, str):
-                raise _HTTPFail(400, "'backend' must be a string")
             name = body.get("name")
             if name is not None and not isinstance(name, str):
                 raise _HTTPFail(400, "'name' must be a string")
             session = server.engine.create_session(
-                module, process, config, name=name, backend=backend,
+                module, process, config, name=name
             )
             return session.info()
 

@@ -7,19 +7,9 @@ work.  See :mod:`repro.verify.runner` for the stage pipeline and
 ``mae verify`` for the CLI front door.
 """
 
-from repro.verify.backend_envelope import (
-    BACKEND_ENVELOPE_SCHEMA_VERSION,
-    BackendEnvelopeBounds,
-    BackendEnvelopePoint,
-    load_backend_envelope,
-    measure_backend_envelope,
-    measure_backend_errors,
-    save_backend_envelope,
-)
 from repro.verify.checks import (
     CheckResult,
     check_area_monotone_in_devices,
-    check_backend_equivalence,
     check_caches_identity,
     check_disk_roundtrip,
     check_frontend_accuracy,
@@ -52,7 +42,7 @@ from repro.verify.envelope import (
     summarize,
     verification_schedule,
 )
-from repro.verify.inject import perturbed_backend, perturbed_standard_cell
+from repro.verify.inject import perturbed_standard_cell
 from repro.verify.records import (
     RECORD_SCHEMA_VERSION,
     SeedRecord,
@@ -69,9 +59,6 @@ from repro.verify.runner import (
 from repro.verify.shrink import ShrinkResult, shrink_module, without_devices
 
 __all__ = [
-    "BACKEND_ENVELOPE_SCHEMA_VERSION",
-    "BackendEnvelopeBounds",
-    "BackendEnvelopePoint",
     "CONGESTION_ENVELOPE_SCHEMA_VERSION",
     "CaseSpec",
     "CongestionEnvelopeBounds",
@@ -86,7 +73,6 @@ __all__ = [
     "VerifyOptions",
     "VerifyReport",
     "check_area_monotone_in_devices",
-    "check_backend_equivalence",
     "check_caches_identity",
     "check_disk_roundtrip",
     "check_frontend_accuracy",
@@ -100,17 +86,12 @@ __all__ = [
     "check_trace_identity",
     "draw_corpus",
     "family_names",
-    "load_backend_envelope",
     "load_congestion_envelope",
     "load_records",
-    "measure_backend_envelope",
-    "measure_backend_errors",
     "measure_case",
     "measure_congestion_case",
     "measure_congestion_envelope",
-    "perturbed_backend",
     "perturbed_standard_cell",
-    "save_backend_envelope",
     "save_congestion_envelope",
     "replay_records",
     "run_module_checks",

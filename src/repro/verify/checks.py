@@ -427,67 +427,6 @@ def check_area_monotone_in_devices(
     )
 
 
-def check_backend_equivalence(
-    module: Module,
-    process: ProcessDatabase,
-    config: Optional[EstimatorConfig] = None,
-) -> CheckResult:
-    """The ``numpy`` backend agrees with ``exact``: full estimates
-    bit-identically (its guard band forces every integer output onto
-    the exact values, and every float field derives from those), and
-    the raw pre-rounding kernels within the committed
-    :class:`~repro.verify.backend_envelope.BackendEnvelopeBounds`.
-
-    Trivially satisfied (with a note) on hosts without NumPy — there is
-    no float backend to diverge.
-    """
-    from repro.perf.backends import get_backend
-    from repro.verify.backend_envelope import (
-        BackendEnvelopeBounds,
-        DEFAULT_PROBE_ROWS,
-        measure_backend_errors,
-    )
-
-    if not get_backend("numpy").available:
-        return CheckResult(
-            "backend_equivalence", True,
-            "numpy backend unavailable; exact-only host",
-        )
-    config = config or EstimatorConfig()
-    stats = _scan(module, process, config)
-    rows_set = DEFAULT_PROBE_ROWS
-    if config.rows is not None and config.rows not in rows_set:
-        rows_set = rows_set + (config.rows,)
-    exact_plan = get_plan(stats, process, config, backend="exact")
-    numpy_plan = get_plan(stats, process, config, backend="numpy")
-    for rows, reference, measured in zip(
-        rows_set,
-        exact_plan.evaluate_rows(rows_set),
-        numpy_plan.evaluate_rows(rows_set),
-    ):
-        if _fields(reference) != _fields(measured):
-            return CheckResult(
-                "backend_equivalence", False,
-                f"numpy diverges from exact at rows={rows} "
-                f"({_mismatch(reference, measured)})",
-            )
-    bounds = BackendEnvelopeBounds()
-    spread_error, mean_error = measure_backend_errors(stats, rows_set)
-    if spread_error > bounds.max_spread_error:
-        return CheckResult(
-            "backend_equivalence", False,
-            f"raw spread expectation error {spread_error:.3e} exceeds "
-            f"envelope bound {bounds.max_spread_error:.0e}",
-        )
-    if mean_error > bounds.max_mean_error:
-        return CheckResult(
-            "backend_equivalence", False,
-            f"raw feed-through mean error {mean_error:.3e} exceeds "
-            f"envelope bound {bounds.max_mean_error:.0e}",
-        )
-    return CheckResult("backend_equivalence", True)
-
-
 def check_serve_equivalence(
     module: Module,
     process: ProcessDatabase,
@@ -764,7 +703,6 @@ EQUIVALENCE_CHECKS: Tuple[Tuple[str, str, Callable], ...] = (
     ("trace_identity", "*", check_trace_identity),
     ("incremental_equivalence", "standard-cell",
      check_incremental_equivalence),
-    ("backend_equivalence", "standard-cell", check_backend_equivalence),
     ("serve_equivalence", "standard-cell", check_serve_equivalence),
 )
 

@@ -171,8 +171,8 @@ def _build_blif(spec: CaseSpec) -> Module:
     label so every case is a distinct module.  Fixture files are
     committed, so the recipe replays bit-identically like any
     generated family — and every equivalence gate (plan-vs-direct,
-    backends, incremental, serve, congestion) now runs over ingested
-    netlists too."""
+    incremental, serve, congestion) now runs over ingested netlists
+    too."""
     from repro.frontend.blif import parse_blif
     from repro.frontend.calibrate import fixture_blifs
 

@@ -49,60 +49,3 @@ def perturbed_standard_cell(scale: float = 1.2) -> Iterator[None]:
         yield
     finally:
         standard_cell.estimate_standard_cell_from_stats = original
-
-
-@contextmanager
-def perturbed_backend(
-    scale: float = 1.2, name: str = "numpy"
-) -> Iterator[None]:
-    """Scale the named backend's track kernel outputs for the duration
-    of the block, so ``backend_equivalence`` must trip.
-
-    The patch point is the registered backend *instance* (the same
-    object every plan resolves per evaluation), emulating a numerical
-    fault in the vectorized kernels while the exact reference stays
-    honest.  A no-op when the backend's dependency is missing — there
-    is nothing to perturb and the gate is trivially satisfied anyway.
-    """
-    if scale <= 0:
-        raise VerificationError(f"scale must be positive, got {scale}")
-    from repro.perf.backends import get_backend
-    from repro.errors import BackendUnavailableError
-
-    try:
-        backend = get_backend(name)
-    except BackendUnavailableError:
-        yield
-        return
-    if scale == 1.0:
-        # Identity perturbation: nothing to inject (the +1 floor below
-        # exists to make *real* scales trip even on one-track nets).
-        yield
-        return
-
-    original_single = backend.tracks_for_histogram
-    original_rows = backend.tracks_for_histogram_rows
-
-    def bump(per_size):
-        return tuple(
-            tracks if tracks == 0 else max(tracks + 1,
-                                           round(tracks * scale))
-            for tracks in per_size
-        )
-
-    def perturbed_single(histogram, rows, mode):
-        return bump(original_single(histogram, rows, mode))
-
-    def perturbed_rows(histogram, row_counts, mode):
-        return tuple(
-            bump(per_size)
-            for per_size in original_rows(histogram, row_counts, mode)
-        )
-
-    backend.tracks_for_histogram = perturbed_single
-    backend.tracks_for_histogram_rows = perturbed_rows
-    try:
-        yield
-    finally:
-        backend.tracks_for_histogram = original_single
-        backend.tracks_for_histogram_rows = original_rows

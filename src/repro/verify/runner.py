@@ -43,7 +43,6 @@ from repro.verify.checks import (
     check_area_monotone_in_devices,
     check_caches_identity,
     check_disk_roundtrip,
-    check_backend_equivalence,
     check_frontend_accuracy,
     check_incremental_equivalence,
     check_portfolio_determinism,
@@ -192,7 +191,6 @@ CHECK_STAGES: Dict[str, str] = {
     "caches_identity": "equivalence",
     "trace_identity": "equivalence",
     "incremental_equivalence": "equivalence",
-    "backend_equivalence": "equivalence",
     "serve_equivalence": "equivalence",
     "disk_roundtrip": "equivalence",
     "portfolio_determinism": "equivalence",
@@ -242,8 +240,6 @@ def _single_check(
         return check_disk_roundtrip(module, process)
     if name == "incremental_equivalence":
         return check_incremental_equivalence(module, process)
-    if name == "backend_equivalence":
-        return check_backend_equivalence(module, process)
     if name == "serve_equivalence":
         return check_serve_equivalence(module, process)
     if name == "shared_within_upper_bound":

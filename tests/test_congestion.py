@@ -97,7 +97,7 @@ class TestConservation:
         for spec in specs:
             histogram = histogram_of(spec.build())
             distribution = congestion_distribution(
-                histogram, rows, capacity=16, backend="exact"
+                histogram, rows, capacity=16
             )
             reference = float(sum(exact_demand_means(histogram, rows)))
             assert distribution.total_demand == pytest.approx(
@@ -350,7 +350,6 @@ class TestPlanCongestion:
             stats.net_size_histogram,
             3,
             resolve_channel_capacity(PROCESS)[0],
-            backend=plan.backend_name,
         )
         assert via_plan == direct
 

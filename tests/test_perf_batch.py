@@ -252,32 +252,6 @@ class TestBenchRecord:
         assert kernels["expected_row_spread"]["hits"] > 0
         assert record["equivalence"]["spread_mode_collapse"] is True
 
-    def test_carries_backend_phases(self, record):
-        """Schema v4: the exact-vs-numpy backend phases, section, and
-        speedups are present and both backends agreed bit-for-bit."""
-        numpy = pytest.importorskip("numpy")
-        del numpy
-        phases = {p["name"] for p in record["phases"]}
-        assert {
-            "backend_exact_single", "backend_numpy_single",
-            "backend_exact_sweep", "backend_numpy_sweep",
-            "backend_exact_eco", "backend_numpy_eco",
-        } <= phases
-        assert record["backend"]["available"] is True
-        assert record["backend"]["histograms"] >= 1
-        assert record["equivalence"]["backend_single"] is True
-        assert record["equivalence"]["backend_sweep"] is True
-        assert record["equivalence"]["backend_eco"] is True
-        for key in ("backend_numpy_vs_exact_single",
-                    "backend_numpy_vs_exact_sweep",
-                    "backend_numpy_vs_exact_eco"):
-            assert record["speedups"][key] > 0
-
-    def test_rejects_missing_backend_section(self, record):
-        broken = {k: v for k, v in record.items() if k != "backend"}
-        with pytest.raises(BenchmarkError, match="backend"):
-            validate_bench_record(broken)
-
     def test_carries_serve_phase(self, record):
         """Schema v5: the serve-load phase and section are present, the
         served estimates stayed bit-identical, and the service shut

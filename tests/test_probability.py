@@ -166,6 +166,30 @@ class TestTracksForNet:
         assert 1 <= tracks <= min(components, rows) + 1
 
 
+class TestHighFanout:
+    """Clock, reset and enable nets reach hundreds of pins.  The
+    kernels normalise the row-spread PMF in integer arithmetic, so no
+    float intermediate overflows however large D grows."""
+
+    @given(
+        components=st.integers(1, 1024),
+        rows=st.integers(1, 64),
+        mode=st.sampled_from(["paper", "exact"]),
+    )
+    def test_kernels_stay_finite_and_bounded(self, components, rows, mode):
+        expected = prob.expected_row_spread(components, rows, mode)
+        assert math.isfinite(expected)
+        # The sum of i * P(i) may overshoot min(n, D) by float rounding.
+        assert 1.0 <= expected <= min(components, rows) * (1 + 1e-12)
+        if components >= 2:
+            assert prob.tracks_for_net(components, rows, mode) >= 1
+
+    @given(components=st.integers(1, 1024), rows=st.integers(1, 64))
+    def test_modes_give_bit_identical_pmfs(self, components, rows):
+        assert prob.row_spread_pmf(components, rows, "paper") == \
+            prob.row_spread_pmf(components, rows, "exact")
+
+
 class TestTotalExpectedTracks:
     def test_weighted_sum(self):
         histogram = [(2, 10), (3, 5)]

@@ -14,7 +14,8 @@ import pytest
 from repro.core.config import EstimatorConfig
 from repro.core.full_custom import estimate_full_custom
 from repro.core.standard_cell import estimate_standard_cell
-from repro.technology.libraries import nmos_process
+from repro.technology.libraries import cmos_process, nmos_process
+from repro.workloads.generators import counter_module, register_file_module
 from repro.workloads.suites import table1_suite, table2_suite
 
 PROCESS = nmos_process()
@@ -98,3 +99,15 @@ class TestProcessPins:
             for n in ("nmos_enh", "nmos_dep", "nmos_pass")
         }
         assert heights == {9.0}
+
+
+class TestHighFanoutPins:
+    """Modules with a 512-pin clock net estimate on the default path
+    (the row-spread kernel once overflowed a float intermediate here)."""
+
+    @pytest.mark.parametrize("module, area", [
+        (counter_module("c", 512), 334487640.0),
+        (register_file_module("rf", 64, 8), 84478416.0),
+    ], ids=["counter-512", "register-file-64x8"])
+    def test_standard_cell_area(self, module, area):
+        assert estimate_standard_cell(module, cmos_process()).area == area

@@ -334,7 +334,7 @@ class TestMetrics:
         assert stats["accepting"] is True
         snapshot = engine.metrics()
         for key in ("counters", "kernels", "plans", "triangle",
-                    "backend", "service"):
+                    "service"):
             assert key in snapshot
 
     def test_submit_job_runs_on_dispatcher(self, engine):

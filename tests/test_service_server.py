@@ -185,7 +185,7 @@ class TestWalkthrough:
         request(server.base_url, "POST", f"/sessions/{sid}/estimate", {})
         status, body = request(server.base_url, "GET", "/metrics")
         assert status == 200
-        for key in ("counters", "kernels", "plans", "triangle", "backend",
+        for key in ("counters", "kernels", "plans", "triangle",
                     "service", "server"):
             assert key in body
         assert body["service"]["sessions"]["open"] == 1
@@ -270,6 +270,16 @@ class TestErrorContract:
             "config": {"rowz": 4},
         })
         assert status == 400 and "rowz" in body["error"]
+
+    @pytest.mark.parametrize("field, value", [
+        ("backend", "exact"),
+        ("priority", 3),
+    ])
+    def test_unknown_session_field_400(self, server, module, field, value):
+        status, body = request(server.base_url, "POST", "/sessions", {
+            "source": write_verilog(module), field: value,
+        })
+        assert status == 400 and repr(field) in body["error"]
 
     def test_bad_rows_400(self, server, module):
         sid = create_session(server, module)["session"]
