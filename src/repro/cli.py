@@ -24,7 +24,7 @@ import sys
 from typing import List, Optional
 
 from repro.core.config import EstimatorConfig
-from repro.core.estimator import ModuleAreaEstimator
+from repro.core.estimator import ModuleAreaEstimator, read_schematic_text
 from repro.errors import ReproError
 from repro.netlist.stats import scan_module
 from repro.technology.libraries import builtin_processes
@@ -40,13 +40,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.print_help()
         return 2
     try:
-        from repro.perf.diskcache import persistent_kernel_caches
-
-        # Opt-in cross-process warm start: load the kernel caches before
-        # the command runs and save them back after it succeeds, so
-        # repeated CLI invocations skip the shared combinatorial work.
-        with persistent_kernel_caches(getattr(args, "kernel_cache", None)):
-            args.handler(args)
+        args.handler(args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -65,12 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="mae",
         description="Module Area Estimator for VLSI layout "
                     "(Chen & Bushnell, DAC 1988 reproduction)",
-    )
-    parser.add_argument(
-        "--kernel-cache", default=None, metavar="FILE",
-        help="persist the probability-kernel caches to FILE across runs "
-             "(loaded before the command, saved after; $MAE_KERNEL_CACHE "
-             "sets a default)",
     )
     sub = parser.add_subparsers(title="commands")
 
@@ -620,7 +608,7 @@ def _cmd_flatten(args) -> None:
     from repro.netlist.verilog import parse_verilog_library
     from repro.netlist.writers import write_verilog
 
-    text = Path(args.schematic).read_text()
+    text = read_schematic_text(args.schematic)
     library = build_library(parse_verilog_library(text, args.schematic))
     top = args.top or _infer_top(library)
     # "__" keeps the flattened names valid Verilog identifiers.
@@ -940,8 +928,7 @@ def _cmd_floorplan(args) -> None:
         )
         design = generate_design(int(args.design), seed=design_seed)
     else:
-        with open(args.design, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        text = read_schematic_text(args.design)
         design = design_from_modules(
             parse_verilog_library(text, filename=args.design)
         )

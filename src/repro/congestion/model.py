@@ -167,13 +167,12 @@ def congestion_distribution(
     net_size_histogram: Sequence[Tuple[int, int]],
     rows: int,
     capacity: int,
-    mode: str = "paper",
 ) -> CongestionDistribution:
     """The per-channel congestion distribution for a (D, y_D) histogram.
 
-    ``mode`` is the row-spread mode the Eq. 2-3 track counts use, so a
-    congestion distribution always redistributes exactly the demand
-    the matching estimate charged.
+    The Eq. 2-3 track counts are the estimator's own, so a congestion
+    distribution always redistributes exactly the demand the matching
+    estimate charged.
     """
     if rows < 1:
         raise EstimationError(f"rows must be >= 1, got {rows}")
@@ -185,7 +184,7 @@ def congestion_distribution(
         if components >= 2
     )
     grid = channel_crossing_grid(histogram, rows)
-    tracks = tracks_for_histogram(histogram, rows, mode)
+    tracks = tracks_for_histogram(histogram, rows)
     counts = tuple(count for _, count in histogram)
     # Per-entry normalisers: expected channels used, >= 1 for D >= 2.
     weight_sums = []
@@ -284,10 +283,7 @@ def congestion_report(
         power_nets=config.power_nets,
     )
     distribution = congestion_distribution(
-        stats.net_size_histogram,
-        rows,
-        resolved_capacity,
-        mode=config.row_spread_mode,
+        stats.net_size_histogram, rows, resolved_capacity
     )
     return CongestionReport(
         module_name=module.name,

@@ -84,7 +84,6 @@ def exact_channel_weights(
 def exact_demand_means(
     net_size_histogram: Sequence[Tuple[int, int]],
     rows: int,
-    mode: str = "paper",
 ) -> Tuple[Fraction, ...]:
     """Exact per-channel expected track demand for a whole histogram.
 
@@ -100,7 +99,7 @@ def exact_demand_means(
     for components, count in net_size_histogram:
         if components < 2:
             continue
-        demand = count * tracks_for_net(components, rows, mode)
+        demand = count * tracks_for_net(components, rows)
         for channel, weight in enumerate(
             exact_channel_weights(components, rows)
         ):
@@ -111,14 +110,13 @@ def exact_demand_means(
 def exact_total_tracks(
     net_size_histogram: Sequence[Tuple[int, int]],
     rows: int,
-    mode: str = "paper",
 ) -> int:
     """The module's total Eq. 2-3 track demand (the estimator's own
     per-module count): ``sum_D y_D * tracks_for_net(D, n)``."""
     if rows < 1:
         raise EstimationError(f"rows must be >= 1, got {rows}")
     return sum(
-        count * tracks_for_net(components, rows, mode)
+        count * tracks_for_net(components, rows)
         for components, count in net_size_histogram
         if components >= 2
     )

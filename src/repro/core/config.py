@@ -45,9 +45,6 @@ class EstimatorConfig:
         initial-row algorithm driven by the port-length criterion.
     max_rows:
         Safety bound for the row-selection loop.
-    row_spread_mode:
-        ``"paper"`` (Eq. 2 with exponent k = min(n, D), renormalised) or
-        ``"exact"`` (true multinomial).
     feedthrough_model:
         ``"two-component"`` uses Eq. 9's P = (n-1)^2/(2n^2) for every
         net (the paper's simplification); ``"general"`` evaluates Eq. 8
@@ -78,7 +75,6 @@ class EstimatorConfig:
 
     rows: Optional[int] = None
     max_rows: int = 64
-    row_spread_mode: str = "paper"
     feedthrough_model: str = "two-component"
     track_sharing_factor: float = 1.0
     track_model: str = "upper-bound"
@@ -105,10 +101,6 @@ class EstimatorConfig:
             raise EstimationError(f"rows must be >= 1, got {self.rows}")
         if self.max_rows < 1:
             raise EstimationError(f"max_rows must be >= 1, got {self.max_rows}")
-        if self.row_spread_mode not in ("paper", "exact"):
-            raise EstimationError(
-                f"unknown row_spread_mode {self.row_spread_mode!r}"
-            )
         if self.feedthrough_model not in FEEDTHROUGH_MODELS:
             raise EstimationError(
                 f"unknown feedthrough_model {self.feedthrough_model!r}"

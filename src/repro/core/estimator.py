@@ -21,11 +21,28 @@ from repro.core.config import EstimatorConfig
 from repro.core.full_custom import estimate_full_custom_both
 from repro.core.results import ModuleEstimate
 from repro.core.standard_cell import estimate_standard_cell
-from repro.errors import EstimationError
+from repro.errors import EstimationError, ParseError
 from repro.netlist.model import Module
 from repro.netlist.spice import parse_spice
 from repro.netlist.stats import scan_module
 from repro.technology.process import ProcessDatabase
+
+
+def read_schematic_text(path: Union[str, Path]) -> str:
+    """The UTF-8 text of a netlist file.
+
+    A missing file, a directory, or bytes that are not UTF-8 raise
+    :class:`~repro.errors.ParseError` naming the path, so every CLI
+    command that reads a netlist fails with one typed error line.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except UnicodeDecodeError as exc:
+        reason = f"not UTF-8 text ({exc.reason} at byte {exc.start})"
+    raise ParseError(f"cannot read schematic {str(path)!r}: {reason}",
+                     str(path))
 
 
 class ModuleAreaEstimator:
@@ -59,22 +76,23 @@ class ModuleAreaEstimator:
         flat module.
         """
         path = Path(path)
-        text = path.read_text()
         suffix = path.suffix.lower()
         if suffix in (".v", ".sv", ".vh"):
             from repro.netlist.hierarchy import flatten_source
             from repro.netlist.verilog import parse_verilog_library
 
-            modules = parse_verilog_library(text, str(path))
+            modules = parse_verilog_library(
+                read_schematic_text(path), str(path)
+            )
             if len(modules) == 1:
                 return modules[0]
             return flatten_source(modules)
         if suffix in (".sp", ".spi", ".cir", ".ckt", ".spice"):
-            return parse_spice(text, str(path))
+            return parse_spice(read_schematic_text(path), str(path))
         if suffix == ".blif":
             from repro.frontend.blif import parse_blif
 
-            return parse_blif(text, str(path))
+            return parse_blif(read_schematic_text(path), str(path))
         raise EstimationError(
             f"cannot infer schematic format from extension {suffix!r} "
             "(expected a Verilog, SPICE, or BLIF extension)"

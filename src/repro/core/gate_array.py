@@ -216,7 +216,6 @@ def _per_channel_demand(
         stats.multi_component_nets,
         rows,
         config.congestion_margin,
-        config.row_spread_mode,
     )
     return shared.tracks_per_channel
 

@@ -7,7 +7,9 @@ uniformly and independently:
 1. **Over how many rows does a net spread?**  (Eqs. 2-3.)  A net placed
    in i rows needs roughly i routing tracks (one per channel it
    touches), so the expected spread E(i) converts net sizes into track
-   demand.
+   demand.  The paper's Eq. 2 denominator n**min(n, D) and the exact
+   multinomial n**D are constants that cancel under normalisation, so
+   the published and the exact forms are one PMF, computed once.
 
 2. **Which row do feed-throughs hit, and how many are there?**
    (Eqs. 4-11.)  A net whose components straddle row i contributes one
@@ -41,11 +43,6 @@ from repro.errors import EstimationError
 from repro.obs.trace import current_tracer
 from repro.perf import kernels as _kernels
 from repro.units import round_up
-
-#: Row-spread probability modes: the paper's Eq. 2 uses an exponent
-#: k = min(n, D) which does not normalise when D > n; "exact" uses the
-#: true multinomial exponent D.  They coincide whenever D <= n.
-ROW_SPREAD_MODES = _kernels.ROW_SPREAD_MODES
 
 
 # ----------------------------------------------------------------------
@@ -89,41 +86,35 @@ def surjection_count_recurrence(components: int, rows: int) -> int:
     return total
 
 
-def row_spread_pmf(
-    components: int, rows: int, mode: str = "paper"
-) -> Tuple[float, ...]:
+def row_spread_pmf(components: int, rows: int) -> Tuple[float, ...]:
     """P_rows(i) for i = 1..min(n, D): probability a D-component net
     occupies exactly i of the n rows (Eq. 2).
 
-    ``mode="exact"`` uses the true multinomial denominator n**D (the
-    distribution sums to 1 by construction).  ``mode="paper"`` uses the
-    paper's exponent k = min(n, D) and renormalises, reproducing the
-    published heuristic.  The kernel normalises in integers, where
-    either denominator cancels, so both modes return the same PMF.
+    The paper divides by n**k with k = min(n, D); the true multinomial
+    divides by n**D.  Either denominator is a constant across i, so it
+    cancels when the weights ``C(n, i) * b[i]`` are normalised: the
+    published and the exact form are one PMF.  The kernel normalises in
+    integers, so the result is correctly rounded for any D.
     """
-    return _kernels.row_spread_pmf(components, rows, mode)
+    return _kernels.row_spread_pmf(components, rows)
 
 
-def expected_row_spread(
-    components: int, rows: int, mode: str = "paper"
-) -> float:
+def expected_row_spread(components: int, rows: int) -> float:
     """E(i) of Eq. 3: expected number of rows a net's components occupy."""
-    return _kernels.expected_row_spread(components, rows, mode)
+    return _kernels.expected_row_spread(components, rows)
 
 
-def tracks_for_net(components: int, rows: int, mode: str = "paper") -> int:
+def tracks_for_net(components: int, rows: int) -> int:
     """Routing tracks demanded by one net: E(i) rounded up (Eq. 3).
 
     "One net needs at least one track"; a single-component net needs no
     routing at all and returns 0.
     """
-    return _kernels.tracks_for_net(components, rows, mode)
+    return _kernels.tracks_for_net(components, rows)
 
 
 def total_expected_tracks(
-    net_size_histogram: Sequence[Tuple[int, int]],
-    rows: int,
-    mode: str = "paper",
+    net_size_histogram: Sequence[Tuple[int, int]], rows: int
 ) -> int:
     """Expectation value of the total track count over all nets.
 
@@ -139,7 +130,7 @@ def total_expected_tracks(
                 raise EstimationError(
                     f"net-size histogram has negative count for D={components}"
                 )
-            total += count * tracks_for_net(components, rows, mode)
+            total += count * tracks_for_net(components, rows)
             nets += count
         if tracer.enabled:
             span.set("nets", nets)

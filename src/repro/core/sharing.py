@@ -68,8 +68,7 @@ def expected_span_fraction(components: int) -> float:
     return (components - 1) / (components + 1)
 
 
-def expected_channels_for_net(components: int, rows: int,
-                              mode: str = "paper") -> int:
+def expected_channels_for_net(components: int, rows: int) -> int:
     """Channels a D-component net's trunks occupy.
 
     A net spread over r rows needs trunks in the r - 1 channels between
@@ -78,7 +77,7 @@ def expected_channels_for_net(components: int, rows: int,
     """
     if components <= 1:
         return 0
-    spread = round_up(expected_row_spread(components, rows, mode))
+    spread = round_up(expected_row_spread(components, rows))
     return max(spread - 1, 1)
 
 
@@ -86,7 +85,6 @@ def estimate_shared_tracks(
     net_size_histogram: Sequence[Tuple[int, int]],
     rows: int,
     congestion_margin: float = 1.25,
-    mode: str = "paper",
 ) -> SharedTrackEstimate:
     """Expected routed track count for a module.
 
@@ -109,7 +107,7 @@ def estimate_shared_tracks(
             )
         if components <= 1:
             continue
-        trunk_channels = expected_channels_for_net(components, rows, mode)
+        trunk_channels = expected_channels_for_net(components, rows)
         # Pins facing one channel come from the two adjacent rows; the
         # trunk's span is governed by the components that landed there.
         # Using the full D is conservative (a trunk never spans more
@@ -125,7 +123,7 @@ def estimate_shared_tracks(
     # Sharing can only reduce the one-net-per-track count: the
     # per-channel ceiling can otherwise overshoot on degenerate
     # few-row modules.
-    upper_bound = total_expected_tracks(net_size_histogram, rows, mode)
+    upper_bound = total_expected_tracks(net_size_histogram, rows)
     total = min(tracks_per_channel * channels, upper_bound)
     return SharedTrackEstimate(
         channels=channels,

@@ -213,9 +213,7 @@ def _expected_tracks(
         histogram = stats.multi_component_nets
         # One kernel call covers the whole histogram: a cache hit
         # returns every net size's Eq. 3 demand in a single lookup.
-        per_net = tracks_for_histogram(
-            histogram, rows, config.row_spread_mode
-        )
+        per_net = tracks_for_histogram(histogram, rows)
         per_size: List[Tuple[int, int]] = []
         total = 0
         for (components, count), tracks in zip(histogram, per_net):
@@ -229,7 +227,6 @@ def _expected_tracks(
                 stats.multi_component_nets,
                 rows,
                 config.congestion_margin,
-                config.row_spread_mode,
             ).total_tracks
             # The upper bound stays an upper bound.
             shared = min(shared, total)

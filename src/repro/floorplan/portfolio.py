@@ -34,9 +34,8 @@ from ``random.Random(f"{seed}:{searcher}:{step}")``, so the trajectory
 is a pure function of ``(design, config)`` and a checkpoint needs only
 per-searcher step indices plus running totals.  Checkpoints are
 validated wholesale before any optimizer state is touched
-(:class:`~repro.errors.CheckpointError`, the ``KernelCacheError``
-pattern), and a resumed run replays the remaining moves bit-identically
-— same trajectory hashes, same winner.
+(:class:`~repro.errors.CheckpointError`), and a resumed run replays the
+remaining moves bit-identically — same trajectory hashes, same winner.
 """
 
 from __future__ import annotations
@@ -207,10 +206,7 @@ class SerialEstimateServer:
             power_nets=estimator.power_nets,
         )
         value = congestion_distribution(
-            stats.multi_component_nets,
-            rows,
-            self._capacity,
-            mode=estimator.row_spread_mode,
+            stats.multi_component_nets, rows, self._capacity
         ).routability
         self._routability[key] = value
         return value

@@ -9,12 +9,11 @@ that slice into :class:`LibertyLibrary`;
 :class:`~repro.technology.process.ProcessDatabase` so ingested
 netlists estimate under the library's own cell footprints.
 
-Validation follows the ``KernelCacheError`` pattern for external
-artifacts: the *whole* file is parsed and checked — balanced braces,
-no duplicate cells, an ``area`` on every cell — before any library
-object is constructed, so a truncated or inconsistent ``.lib`` raises
-:class:`~repro.errors.FrontendError` without leaving partial state
-behind.
+Validation is validate-then-commit: the *whole* file is parsed and
+checked — balanced braces, no duplicate cells, an ``area`` on every
+cell — before any library object is constructed, so a truncated or
+inconsistent ``.lib`` raises :class:`~repro.errors.FrontendError`
+without leaving partial state behind.
 """
 
 from __future__ import annotations

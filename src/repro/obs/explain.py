@@ -211,7 +211,7 @@ def explain_standard_cell(
         if components == 1:
             singles += 1
             continue
-        tracks = tracks_for_net(components, rows, config.row_spread_mode)
+        tracks = tracks_for_net(components, rows)
         raw_tracks += tracks
         if rows < 3:
             probability = 0.0
@@ -225,9 +225,7 @@ def explain_standard_cell(
             NetTerm(
                 net=net.name,
                 components=components,
-                expected_rows=expected_row_spread(
-                    components, rows, config.row_spread_mode
-                ),
+                expected_rows=expected_row_spread(components, rows),
                 tracks=tracks,
                 feed_probability=probability,
             )
@@ -243,7 +241,6 @@ def explain_standard_cell(
             stats.multi_component_nets,
             rows,
             config.congestion_margin,
-            config.row_spread_mode,
         ).total_tracks
         tracks_total = min(shared, raw_tracks)
     else:

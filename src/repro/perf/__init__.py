@@ -12,7 +12,8 @@ estimators' *math* untouched while removing the repeated work:
   Eqs. 8-9 central feed-through probabilities) backed by one shared,
   incrementally-grown Stirling triangle of surjection counts, plus
   whole-histogram batch kernels, with hit/miss/bypass statistics for
-  observability.
+  observability.  The caches live in memory only; nothing is persisted
+  across processes, because recomputing a cold kernel beats loading it.
 * :mod:`repro.perf.plan` — ``EstimationPlan``: the standard-cell
   estimator compiled once per module (frozen histogram arrays,
   pre-resolved process constants) and re-evaluated per row count,
@@ -21,9 +22,6 @@ estimators' *math* untouched while removing the repeated work:
   and evaluate every (module x config x methodology) task through
   compiled plans, in process and bit-identical to the per-call
   estimators.
-* :mod:`repro.perf.diskcache` — opt-in on-disk persistence of the
-  kernel caches (``--kernel-cache`` / ``$MAE_KERNEL_CACHE``), versioned
-  and validated on load.
 * :mod:`repro.perf.bench` — the perf-trajectory harness that times the
   Table 1/2 suites, a large synthetic sweep and the plan-vs-direct
   paths, and writes ``BENCH_batch_engine.json`` so every future PR's
@@ -35,10 +33,8 @@ from repro.perf.kernels import (
     cache_enabled,
     caches_disabled,
     clear_kernel_caches,
-    install_kernel_caches,
     kernel_cache_stats,
     set_cache_enabled,
-    snapshot_kernel_caches,
     surjection_triangle_stats,
 )
 
@@ -54,10 +50,6 @@ _LAZY_EXPORTS = {
     "get_plan": "plan",
     "plan_cache_stats": "plan",
     "clear_plan_cache": "plan",
-    "load_kernel_caches": "diskcache",
-    "persistent_kernel_caches": "diskcache",
-    "resolve_cache_path": "diskcache",
-    "save_kernel_caches": "diskcache",
 }
 
 
@@ -83,14 +75,8 @@ __all__ = [
     "compile_plan",
     "estimate_batch",
     "get_plan",
-    "install_kernel_caches",
     "kernel_cache_stats",
-    "load_kernel_caches",
-    "persistent_kernel_caches",
     "plan_cache_stats",
-    "resolve_cache_path",
-    "save_kernel_caches",
     "set_cache_enabled",
-    "snapshot_kernel_caches",
     "surjection_triangle_stats",
 ]

@@ -64,12 +64,7 @@ from repro.netlist.model import Module
 from repro.netlist.stats import scan_module
 from repro.obs.metrics import get_registry
 from repro.perf.batch import estimate_batch
-from repro.perf.kernels import (
-    caches_disabled,
-    clear_kernel_caches,
-    expected_row_spread,
-    row_spread_pmf,
-)
+from repro.perf.kernels import caches_disabled, clear_kernel_caches
 from repro.perf.plan import clear_plan_cache, compile_plan
 from repro.reporting import render_table
 from repro.technology.libraries import nmos_process
@@ -85,7 +80,7 @@ from repro.workloads.generators import (
 )
 from repro.workloads.suites import table1_suite, table2_suite
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 BENCH_NAME = "batch_engine"
 DEFAULT_OUTPUT = "BENCH_batch_engine.json"
 
@@ -265,8 +260,7 @@ def run_bench(
     sweep_items = len(sweep) * len(row_counts)
     default_config = EstimatorConfig()
     # Scanned once, outside every timed phase: the plan phases below
-    # start from statistics, and the mode-collapse audit
-    # walks the same histogram population.
+    # start from statistics.
     sweep_stats = [
         scan_module(
             module,
@@ -302,28 +296,6 @@ def run_bench(
     clear_plan_cache()
     batch1_estimates = timed("synthetic_batch_jobs1", sweep_items,
                              sweep_batch)
-    # Mode-collapse audit: for D <= n the exact and paper row-spread
-    # distributions coincide bit-for-bit and canonicalize to one cache
-    # entry, so this sweep over the live (D, rows) population is served
-    # from the entries the batch just filled — the audit both
-    # checks the invariant and is what makes the row_spread_pmf /
-    # expected_row_spread hit rates in the snapshot below non-zero.
-    modes_collapse = True
-    audited = set()
-    for stats in sweep_stats:
-        for components, _ in stats.multi_component_nets:
-            for rows in row_counts:
-                if components > rows or (components, rows) in audited:
-                    continue
-                audited.add((components, rows))
-                modes_collapse = modes_collapse and (
-                    row_spread_pmf(components, rows, "exact")
-                    == row_spread_pmf(components, rows, "paper")
-                ) and (
-                    expected_row_spread(components, rows, "exact")
-                    == expected_row_spread(components, rows, "paper")
-                )
-    equivalence["spread_mode_collapse"] = modes_collapse
     # The registry snapshot is the supported view of the kernel caches
     # (same shape as before, no reaching into repro.perf.kernels).
     cache_snapshot = get_registry().snapshot()["kernels"]
@@ -1019,25 +991,17 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "sweep's wall time (CI guard against "
                              "congestion-pricing regressions; lower is "
                              "better)")
-    parser.add_argument("--kernel-cache", default=None, metavar="FILE",
-                        help="load kernel caches from FILE before the run "
-                             "and save them back after (also honours "
-                             "$MAE_KERNEL_CACHE)")
     args = parser.parse_args(argv)
 
-    from repro.errors import KernelCacheError
-    from repro.perf.diskcache import persistent_kernel_caches
-
     try:
-        with persistent_kernel_caches(args.kernel_cache):
-            record = run_bench(module_count=args.modules, smoke=args.smoke,
-                               portfolio_modules=args.portfolio_modules)
-            path = write_bench_record(record, args.output)
-            # Round-trip through the validator so a malformed file on
-            # disk fails here, not in the next PR's trajectory tooling
-            # (and so the summary below reports the written history).
-            record = load_bench_record(path)
-    except (BenchmarkError, KernelCacheError) as exc:
+        record = run_bench(module_count=args.modules, smoke=args.smoke,
+                           portfolio_modules=args.portfolio_modules)
+        path = write_bench_record(record, args.output)
+        # Round-trip through the validator so a malformed file on
+        # disk fails here, not in the next PR's trajectory tooling
+        # (and so the summary below reports the written history).
+        record = load_bench_record(path)
+    except BenchmarkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(format_bench_record(record))

@@ -3,11 +3,10 @@
 Every standard-cell estimate evaluates the same small family of pure
 combinatorial functions — the Eq. 2-3 row-spread distribution, the
 Eq. 3 per-net track count, and the Eq. 8-9 central feed-through
-probability — keyed only by (net size D, row count n) and a mode
-string.  Across a sweep (many row counts per module, many modules per
-chip, thousands of floorplan iterations) the same keys recur endlessly,
-so these kernels are memoized once per process and shared by every
-estimator call.
+probability — keyed only by (net size D, row count n).  Across a sweep
+(many row counts per module, many modules per chip, thousands of
+floorplan iterations) the same keys recur endlessly, so these kernels
+are memoized once per process and shared by every estimator call.
 
 Two guarantees:
 
@@ -28,10 +27,9 @@ Cache statistics (hits/misses/entries/bypasses per kernel) are exposed
 through :func:`kernel_cache_stats` so benchmarks and long-running
 services can observe hit rates; :func:`set_cache_enabled` /
 :func:`caches_disabled` exist for baseline measurements and
-equivalence tests.  Caches are per-process;
-:func:`snapshot_kernel_caches` / :func:`install_kernel_caches` let
-:mod:`repro.perf.diskcache` persist the entries (and the shared
-Stirling triangle) across processes.
+equivalence tests.  Caches live in memory, one set per process, and
+are never persisted: recomputing a cold kernel is cheaper than
+loading it back from disk.
 """
 
 from __future__ import annotations
@@ -43,23 +41,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import EstimationError
 from repro.units import round_up
-
-#: Row-spread probability modes (see :mod:`repro.core.probability`):
-#: the paper's Eq. 2 exponent k = min(n, D) vs the exact multinomial.
-ROW_SPREAD_MODES = ("paper", "exact")
-
-
-def _canonical_mode(components: int, rows: int, mode: str) -> str:
-    """Collapse equivalent (D, n, mode) cache keys onto one.
-
-    When ``D <= n`` the two modes share the exponent ``D``, so the
-    PMF — and everything derived from it — is bit-identical.  Keying
-    those calls under ``"paper"`` lets mixed-mode workloads (the verify
-    suite runs both) share one cache entry instead of recomputing the
-    identical value under a second key."""
-    if mode == "exact" and components <= rows:
-        return "paper"
-    return mode
 
 
 # ----------------------------------------------------------------------
@@ -160,43 +141,6 @@ def clear_kernel_caches() -> None:
     for kernel in _KERNELS.values():
         kernel.clear()
     _TRIANGLE.clear()
-
-
-def snapshot_kernel_caches() -> dict:
-    """A picklable copy of every kernel cache plus the triangle.
-
-    This is what the on-disk cache (:mod:`repro.perf.diskcache`)
-    serializes.
-    """
-    return {
-        "kernels": {
-            name: dict(kernel.cache) for name, kernel in _KERNELS.items()
-        },
-        "triangle": _TRIANGLE.snapshot(),
-    }
-
-
-def install_kernel_caches(snapshot: dict) -> int:
-    """Merge a :func:`snapshot_kernel_caches` snapshot into this
-    process's caches; returns the number of entries installed.
-
-    Unknown kernel names are rejected (a snapshot from a different code
-    version must fail loudly, not half-install).
-    """
-    kernels = snapshot.get("kernels", {})
-    unknown = set(kernels) - set(_KERNELS)
-    if unknown:
-        raise EstimationError(
-            f"kernel-cache snapshot names unknown kernels {sorted(unknown)}"
-        )
-    installed = 0
-    for name, entries in kernels.items():
-        _KERNELS[name].cache.update(entries)
-        installed += len(entries)
-    triangle = snapshot.get("triangle")
-    if triangle is not None:
-        _TRIANGLE.install(triangle)
-    return installed
 
 
 def cache_enabled() -> bool:
@@ -330,20 +274,6 @@ class _SurjectionTriangle:
             "cells": len(self._rows) * self._limit,
         }
 
-    def snapshot(self) -> dict:
-        return {
-            "limit": self._limit,
-            "rows": [list(row) for row in self._rows],
-        }
-
-    def install(self, snapshot: dict) -> None:
-        """Adopt a snapshot if it extends what this process already has."""
-        rows = snapshot.get("rows", [])
-        limit = snapshot.get("limit", 0)
-        if len(rows) > len(self._rows) or limit > self._limit:
-            self._rows = [list(row) for row in rows]
-            self._limit = limit
-
 
 _TRIANGLE = _SurjectionTriangle()
 
@@ -379,8 +309,7 @@ def surjection_count(components: int, rows: int) -> int:
 # ----------------------------------------------------------------------
 # Eqs. 2-3: row-spread PMF, expectation, track demand
 # ----------------------------------------------------------------------
-def _row_spread_pmf(components: int, rows: int, mode: str) -> Tuple[float, ...]:
-    _check_mode(mode)
+def _row_spread_pmf(components: int, rows: int) -> Tuple[float, ...]:
     _check_positive("components", components)
     _check_positive("rows", rows)
     max_spread = min(rows, components)
@@ -389,11 +318,10 @@ def _row_spread_pmf(components: int, rows: int, mode: str) -> Tuple[float, ...]:
         math.comb(rows, i) * counts[i - 1]
         for i in range(1, max_spread + 1)
     ]
-    # Normalise in integers: the mode's denominator (rows**D or
-    # rows**min(n, D)) cancels under renormalisation, and int / int is
-    # correctly rounded however large both sides grow, so high-fanout
-    # nets never overflow a float intermediate.  Both modes therefore
-    # yield the same PMF.
+    # Normalise in integers: the paper's rows**min(n, D) denominator
+    # (like the multinomial rows**D) is a constant that cancels, and
+    # int / int is correctly rounded however large both sides grow, so
+    # high-fanout nets never overflow a float intermediate.
     total = sum(raw)
     if total <= 0:
         raise EstimationError(
@@ -405,50 +333,36 @@ def _row_spread_pmf(components: int, rows: int, mode: str) -> Tuple[float, ...]:
 row_spread_pmf_kernel = _kernel(_row_spread_pmf)
 
 
-def row_spread_pmf(
-    components: int, rows: int, mode: str = "paper"
-) -> Tuple[float, ...]:
+def row_spread_pmf(components: int, rows: int) -> Tuple[float, ...]:
     """Memoized P_rows(i), i = 1..min(n, D) (Eq. 2)."""
-    return row_spread_pmf_kernel(
-        components, rows, _canonical_mode(components, rows, mode)
-    )
+    return row_spread_pmf_kernel(components, rows)
 
 
-def _expected_row_spread(components: int, rows: int, mode: str) -> float:
-    pmf = row_spread_pmf_kernel(
-        components, rows, _canonical_mode(components, rows, mode)
-    )
+def _expected_row_spread(components: int, rows: int) -> float:
+    pmf = row_spread_pmf_kernel(components, rows)
     return sum(i * p for i, p in enumerate(pmf, start=1))
 
 
 expected_row_spread_kernel = _kernel(_expected_row_spread)
 
 
-def expected_row_spread(
-    components: int, rows: int, mode: str = "paper"
-) -> float:
+def expected_row_spread(components: int, rows: int) -> float:
     """Memoized E(i) of Eq. 3."""
-    return expected_row_spread_kernel(
-        components, rows, _canonical_mode(components, rows, mode)
-    )
+    return expected_row_spread_kernel(components, rows)
 
 
-def _tracks_for_net(components: int, rows: int, mode: str) -> int:
+def _tracks_for_net(components: int, rows: int) -> int:
     if components <= 1:
         return 0
-    return max(1, round_up(expected_row_spread_kernel(
-        components, rows, _canonical_mode(components, rows, mode)
-    )))
+    return max(1, round_up(expected_row_spread_kernel(components, rows)))
 
 
 tracks_for_net_kernel = _kernel(_tracks_for_net)
 
 
-def tracks_for_net(components: int, rows: int, mode: str = "paper") -> int:
+def tracks_for_net(components: int, rows: int) -> int:
     """Memoized per-net track demand (Eq. 3, rounded up)."""
-    return tracks_for_net_kernel(
-        components, rows, _canonical_mode(components, rows, mode)
-    )
+    return tracks_for_net_kernel(components, rows)
 
 
 # ----------------------------------------------------------------------
@@ -518,33 +432,18 @@ def central_feedthrough_probability(
 # whole-histogram batch kernels
 # ----------------------------------------------------------------------
 def _tracks_for_histogram(
-    histogram: Tuple[Tuple[int, int], ...], rows: int, mode: str
+    histogram: Tuple[Tuple[int, int], ...], rows: int
 ) -> Tuple[int, ...]:
     return tuple(
-        _tracks_for_net(components, rows, mode) for components, _ in histogram
+        tracks_for_net_kernel(components, rows) for components, _ in histogram
     )
 
 
-def _tracks_for_histogram_fast(
-    histogram: Tuple[Tuple[int, int], ...], rows: int, mode: str
-) -> Tuple[int, ...]:
-    return tuple(
-        tracks_for_net_kernel(
-            components, rows, _canonical_mode(components, rows, mode)
-        )
-        for components, _ in histogram
-    )
-
-
-tracks_for_histogram_kernel = _kernel(
-    _tracks_for_histogram, fast=_tracks_for_histogram_fast
-)
+tracks_for_histogram_kernel = _kernel(_tracks_for_histogram)
 
 
 def tracks_for_histogram(
-    net_size_histogram: Sequence[Tuple[int, int]],
-    rows: int,
-    mode: str = "paper",
+    net_size_histogram: Sequence[Tuple[int, int]], rows: int
 ) -> Tuple[int, ...]:
     """Per-net-size track demands for a whole (D, y_D) histogram.
 
@@ -555,28 +454,10 @@ def tracks_for_histogram(
     histogram: ``result[k]`` is the track demand of one net of size
     ``net_size_histogram[k][0]``.
     """
-    histogram = tuple(net_size_histogram)
-    if mode == "exact" and all(
-        components <= rows for components, _ in histogram
-    ):
-        # Every net is in the D <= n regime where the modes coincide
-        # bit-for-bit, so the whole-histogram entry can be shared too.
-        mode = "paper"
-    return tracks_for_histogram_kernel(histogram, rows, mode)
+    return tracks_for_histogram_kernel(tuple(net_size_histogram), rows)
 
 
 def _feedthrough_mean_for_histogram(
-    histogram: Tuple[Tuple[int, int], ...], rows: int, model: str
-) -> float:
-    mean = 0.0
-    for components, count in histogram:
-        mean += count * _central_feedthrough_probability(
-            rows, components, model
-        )
-    return mean
-
-
-def _feedthrough_mean_for_histogram_fast(
     histogram: Tuple[Tuple[int, int], ...], rows: int, model: str
 ) -> float:
     mean = 0.0
@@ -588,7 +469,7 @@ def _feedthrough_mean_for_histogram_fast(
 
 
 feedthrough_mean_for_histogram_kernel = _kernel(
-    _feedthrough_mean_for_histogram, fast=_feedthrough_mean_for_histogram_fast
+    _feedthrough_mean_for_histogram
 )
 
 
@@ -601,7 +482,8 @@ def feedthrough_mean_for_histogram(
 
     The Eq. 10 mean ``sum_D y_D * P_central(n, D)`` accumulated in
     histogram order — float addition order is preserved, so the value
-    is bit-identical to the per-net loop it replaces.
+    is bit-identical to the per-net loop it replaces.  A miss fills in
+    via the per-net kernel, which :func:`caches_disabled` bypasses too.
     """
     return feedthrough_mean_for_histogram_kernel(
         tuple(net_size_histogram), rows, model
@@ -761,10 +643,3 @@ def _check_positive(label: str, value: int) -> None:
     if value < 1:
         raise EstimationError(f"{label} must be >= 1, got {value}")
 
-
-def _check_mode(mode: str) -> None:
-    if mode not in ROW_SPREAD_MODES:
-        raise EstimationError(
-            f"unknown row-spread mode {mode!r} (expected one of "
-            f"{ROW_SPREAD_MODES})"
-        )

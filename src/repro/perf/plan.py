@@ -113,9 +113,7 @@ class EstimationPlan:
                     f"row count must be >= 1, got {rows}"
                 )
 
-            per_size = tracks_for_histogram(
-                self.histogram, rows, config.row_spread_mode
-            )
+            per_size = tracks_for_histogram(self.histogram, rows)
             estimate = self._assemble(rows, per_size, tracer, span)
         _note_evaluation()
         return estimate
@@ -148,10 +146,7 @@ class EstimationPlan:
         distribution = self._congestion_memo.get(key)
         if distribution is None:
             distribution = congestion_distribution(
-                self.histogram,
-                rows,
-                resolved,
-                mode=self.config.row_spread_mode,
+                self.histogram, rows, resolved
             )
             self._congestion_memo[key] = distribution
         return distribution
@@ -175,7 +170,6 @@ class EstimationPlan:
                 self.histogram,
                 rows,
                 config.congestion_margin,
-                config.row_spread_mode,
             ).total_tracks
             # The upper bound stays an upper bound.
             shared = min(shared, total)

@@ -5,7 +5,7 @@ service.  :class:`~repro.service.engine.EstimationEngine` is the
 transport-agnostic facade — sessions wrap live
 :class:`~repro.incremental.IncrementalEstimator` instances, a bounded
 request queue coalesces concurrent estimates into batched dispatches,
-and one shared plan-cache / Stirling-triangle / disk-cache lifecycle
+and one shared kernel-cache / Stirling-triangle / plan-cache stack
 spans all sessions.  :class:`~repro.service.server.MAEServer` exposes
 the facade over stdlib HTTP+JSON (``mae serve``);
 :mod:`~repro.service.wire` defines the bit-exact estimate codec; and

@@ -29,18 +29,14 @@ concurrency invariant that makes this safe without fine-grained locks:
 *only the dispatcher thread evaluates estimates*, so only the
 dispatcher ever touches the shared memo dicts.  Client threads touch
 per-session state under the session lock and read-only snapshots.
-``kernel_cache`` wires the engine into
-:func:`repro.perf.diskcache.persistent_kernel_caches`: warm-start on
-construction, save on a clean :meth:`shutdown`.
 
 Shutdown is graceful by default: the engine stops accepting work
 (:class:`ServiceClosedError`, HTTP 503), drains every queued request,
-then joins the dispatcher and persists the caches.
+then joins the dispatcher.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import threading
 import time
@@ -83,7 +79,6 @@ class ServiceConfig:
     queue_limit: int = 256
     coalesce_limit: int = 32
     request_timeout: float = 30.0
-    kernel_cache: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.max_sessions < 1:
@@ -191,13 +186,6 @@ class EstimationEngine:
         #: (backpressure and timeout tests rely on it).
         self._dispatch_gate = threading.Event()
         self._dispatch_gate.set()
-        self._lifecycle = contextlib.ExitStack()
-        if self.config.kernel_cache is not None:
-            from repro.perf.diskcache import persistent_kernel_caches
-
-            self._lifecycle.enter_context(
-                persistent_kernel_caches(self.config.kernel_cache)
-            )
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="mae-dispatcher", daemon=True
         )
@@ -369,8 +357,7 @@ class EstimationEngine:
 
         ``drain=True`` (the default) serves every already-queued
         request first; ``drain=False`` fails them with
-        :class:`ServiceClosedError`.  Idempotent.  Persists the kernel
-        caches when ``kernel_cache`` was configured.
+        :class:`ServiceClosedError`.  Idempotent.
         """
         with self._cv:
             already = self._closed
@@ -387,7 +374,6 @@ class EstimationEngine:
         self._dispatcher.join(timeout)
         if not already:
             self._count("shutdowns")
-            self._lifecycle.close()
 
     # ------------------------------------------------------------------
     # internals

@@ -72,10 +72,9 @@ ROUTES: Tuple[Tuple[str, str, str], ...] = (
 #: as a JSON list and is tupled; everything else passes through to the
 #: frozen dataclass, whose own validation rejects bad values.
 CONFIG_FIELDS = (
-    "rows", "max_rows", "row_spread_mode", "feedthrough_model",
-    "track_sharing_factor", "track_model", "congestion_margin",
-    "net_span_mode", "device_area_mode", "port_pitch_override",
-    "power_nets", "max_aspect",
+    "rows", "max_rows", "feedthrough_model", "track_sharing_factor",
+    "track_model", "congestion_margin", "net_span_mode",
+    "device_area_mode", "port_pitch_override", "power_nets", "max_aspect",
 )
 
 #: The top-level fields ``POST /sessions`` reads; any other field is

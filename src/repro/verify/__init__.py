@@ -11,7 +11,6 @@ from repro.verify.checks import (
     CheckResult,
     check_area_monotone_in_devices,
     check_caches_identity,
-    check_disk_roundtrip,
     check_frontend_accuracy,
     check_incremental_equivalence,
     check_serve_equivalence,
@@ -19,7 +18,6 @@ from repro.verify.checks import (
     check_row_sweep_sanity,
     check_shared_within_upper_bound,
     check_sharing_factor_monotone,
-    check_spread_mode_agreement,
     check_trace_identity,
     run_module_checks,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "VerifyReport",
     "check_area_monotone_in_devices",
     "check_caches_identity",
-    "check_disk_roundtrip",
     "check_frontend_accuracy",
     "check_incremental_equivalence",
     "check_serve_equivalence",
@@ -82,7 +79,6 @@ __all__ = [
     "check_row_sweep_sanity",
     "check_shared_within_upper_bound",
     "check_sharing_factor_monotone",
-    "check_spread_mode_agreement",
     "check_trace_identity",
     "draw_corpus",
     "family_names",

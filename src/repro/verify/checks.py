@@ -12,15 +12,12 @@ Two kinds of checks:
 * **Equivalence invariants** compare two computations that must agree
   *bit for bit* (exact ``==`` on every result field, floats included):
   plan vs direct, caches on vs :func:`caches_disabled`, trace-on vs
-  trace-off, and a disk-cache round-trip.
+  trace-off, incremental vs rescan, and served vs direct.
 * **Metamorphic properties** relate outputs across *related inputs*
   where no oracle exists: area is monotone in device count, the row
   sweep is not wildly non-convex, the shared track model never exceeds
-  the paper's one-net-per-track upper bound, lowering the sharing
-  factor never increases area, and the "paper" and "exact" row-spread
-  modes agree (bit-identically when every net fits in the row count,
-  else to relative tolerance — the renormalised Eq. 2 is algebraically
-  the exact PMF, differing only in summation order).
+  the paper's one-net-per-track upper bound, and lowering the sharing
+  factor never increases area.
 
 Every check returns a :class:`CheckResult`; nothing raises on a
 failed invariant — the runner decides what to shrink and persist.
@@ -29,7 +26,6 @@ failed invariant — the runner decides what to shrink and persist.
 from __future__ import annotations
 
 import dataclasses
-import math
 import os
 import random
 import tempfile
@@ -47,13 +43,7 @@ from repro.incremental.engine import IncrementalEstimator
 from repro.netlist.model import Module
 from repro.netlist.stats import scan_module
 from repro.obs.trace import Tracer, use_tracer
-from repro.perf.diskcache import load_kernel_caches, save_kernel_caches
-from repro.perf.kernels import (
-    caches_disabled,
-    clear_kernel_caches,
-    install_kernel_caches,
-    snapshot_kernel_caches,
-)
+from repro.perf.kernels import caches_disabled
 from repro.perf.plan import get_plan
 from repro.technology.process import ProcessDatabase
 
@@ -162,50 +152,6 @@ def check_trace_identity(
     )
 
 
-def check_disk_roundtrip(
-    module: Module,
-    process: ProcessDatabase,
-    config: Optional[EstimatorConfig] = None,
-) -> CheckResult:
-    """Kernel caches survive a save → clear → load cycle with no effect
-    on results, and the reloaded entries equal the saved snapshot.
-
-    The round-trip runs on a fresh cache warmed only by this module, so
-    the check exercises exactly the entries under test and unrelated
-    process-wide cache contents (which may hold huge combinatorial
-    integers that JSON cannot print) never leak into the file.
-    """
-    ambient = snapshot_kernel_caches()
-    handle, path = tempfile.mkstemp(prefix="mae-verify-", suffix=".json")
-    os.close(handle)
-    try:
-        try:
-            clear_kernel_caches()
-            before = estimate_standard_cell(module, process, config)
-            saved = snapshot_kernel_caches()
-            save_kernel_caches(path)
-            clear_kernel_caches()
-            load_kernel_caches(path)
-            after = estimate_standard_cell(module, process, config)
-            reloaded = snapshot_kernel_caches()
-        finally:
-            # Never leave the process cold because the check failed.
-            install_kernel_caches(ambient)
-    finally:
-        os.unlink(path)
-    if reloaded["kernels"] != saved["kernels"]:
-        return CheckResult(
-            "disk_roundtrip", False,
-            "reloaded kernel entries differ from the saved snapshot",
-        )
-    if _fields(before) != _fields(after):
-        return CheckResult(
-            "disk_roundtrip", False,
-            f"round-trip changed the estimate ({_mismatch(before, after)})",
-        )
-    return CheckResult("disk_roundtrip", True)
-
-
 def check_incremental_equivalence(
     module: Module,
     process: ProcessDatabase,
@@ -294,50 +240,6 @@ def check_sharing_factor_monotone(
         "sharing_factor_monotone", False,
         f"factor 0.6 area {reduced.area:.1f} exceeds factor 1.0 area "
         f"{full.area:.1f}",
-    )
-
-
-def check_spread_mode_agreement(
-    module: Module,
-    process: ProcessDatabase,
-    config: Optional[EstimatorConfig] = None,
-    rel_tol: float = 1e-9,
-) -> CheckResult:
-    """The "paper" and "exact" row-spread modes agree.
-
-    Renormalising Eq. 2 cancels its truncated exponent, so the two modes
-    are the same distribution: bit-identical whenever every net fits in
-    the row count (D <= n, where the modes share a code path), and equal
-    to floating-point tolerance otherwise.
-    """
-    config = config or EstimatorConfig()
-    paper = estimate_standard_cell(
-        module, process, config.with_(row_spread_mode="paper")
-    )
-    exact = estimate_standard_cell(
-        module, process,
-        config.with_(row_spread_mode="exact", rows=paper.rows),
-    )
-    stats = _scan(module, process, config)
-    max_net = max(
-        (size for size, _ in stats.multi_component_nets), default=0
-    )
-    if max_net <= paper.rows:
-        if _fields(paper) == _fields(exact):
-            return CheckResult("spread_mode_agreement", True)
-        return CheckResult(
-            "spread_mode_agreement", False,
-            f"modes diverge with every net inside {paper.rows} rows "
-            f"({_mismatch(paper, exact)})",
-        )
-    if paper.tracks == exact.tracks and math.isclose(
-        paper.area, exact.area, rel_tol=rel_tol
-    ):
-        return CheckResult("spread_mode_agreement", True)
-    return CheckResult(
-        "spread_mode_agreement", False,
-        f"paper mode {paper.tracks} tracks / area {paper.area:.3f} vs "
-        f"exact mode {exact.tracks} / {exact.area:.3f}",
     )
 
 
@@ -711,7 +613,6 @@ EQUIVALENCE_CHECKS: Tuple[Tuple[str, str, Callable], ...] = (
 METAMORPHIC_CHECKS: Tuple[Tuple[str, Callable], ...] = (
     ("shared_within_upper_bound", check_shared_within_upper_bound),
     ("sharing_factor_monotone", check_sharing_factor_monotone),
-    ("spread_mode_agreement", check_spread_mode_agreement),
     ("row_sweep_sanity", check_row_sweep_sanity),
 )
 

@@ -162,10 +162,7 @@ def measure_congestion_case(
         power_nets=config.power_nets,
     )
     distribution = congestion_distribution(
-        stats.multi_component_nets,
-        rows,
-        resolved_capacity,
-        mode=config.row_spread_mode,
+        stats.multi_component_nets, rows, resolved_capacity
     )
     oracle = layout_standard_cell(
         module, process, rows=rows, seed=spec.seed, schedule=schedule,

@@ -9,7 +9,7 @@ per stage (``verify.corpus`` → ``verify.equivalence`` →
    against the CMOS process, full-custom against nMOS, matching the
    paper's Table 2 / Table 1 technologies).
 2. **Equivalence** — every bit-identity claim from the perf PRs, per
-   module plus the corpus-wide disk-cache round-trip check.
+   module plus the design-level portfolio determinism check.
 3. **Metamorphic** — cross-input properties, including area
    monotonicity over grown random modules (prefix-aligned seeds keep
    the smaller module a strict sub-construction of the larger).
@@ -42,7 +42,6 @@ from repro.verify.checks import (
     CheckResult,
     check_area_monotone_in_devices,
     check_caches_identity,
-    check_disk_roundtrip,
     check_frontend_accuracy,
     check_incremental_equivalence,
     check_portfolio_determinism,
@@ -51,7 +50,6 @@ from repro.verify.checks import (
     check_row_sweep_sanity,
     check_shared_within_upper_bound,
     check_sharing_factor_monotone,
-    check_spread_mode_agreement,
     check_trace_identity,
     run_module_checks,
 )
@@ -192,11 +190,9 @@ CHECK_STAGES: Dict[str, str] = {
     "trace_identity": "equivalence",
     "incremental_equivalence": "equivalence",
     "serve_equivalence": "equivalence",
-    "disk_roundtrip": "equivalence",
     "portfolio_determinism": "equivalence",
     "shared_within_upper_bound": "metamorphic",
     "sharing_factor_monotone": "metamorphic",
-    "spread_mode_agreement": "metamorphic",
     "row_sweep_sanity": "metamorphic",
     "area_monotone_in_devices": "metamorphic",
     "envelope": "envelope",
@@ -236,8 +232,6 @@ def _single_check(
         return check_caches_identity(module, process, methodology)
     if name == "trace_identity":
         return check_trace_identity(module, process, methodology)
-    if name == "disk_roundtrip":
-        return check_disk_roundtrip(module, process)
     if name == "incremental_equivalence":
         return check_incremental_equivalence(module, process)
     if name == "serve_equivalence":
@@ -246,8 +240,6 @@ def _single_check(
         return check_shared_within_upper_bound(module, process)
     if name == "sharing_factor_monotone":
         return check_sharing_factor_monotone(module, process)
-    if name == "spread_mode_agreement":
-        return check_spread_mode_agreement(module, process)
     if name == "row_sweep_sanity":
         return check_row_sweep_sanity(module, process)
     raise VerificationError(f"no single-module form for check {name!r}")
@@ -297,16 +289,6 @@ def run_verify(options: Optional[VerifyOptions] = None) -> VerifyReport:
                     continue
                 note(spec, module, result,
                      _predicate(result.name, process, spec.methodology))
-        # Corpus-wide: one disk round-trip per sweep.
-        sc_cases = [
-            (spec, module) for spec, module in built
-            if spec.methodology == "standard-cell"
-        ]
-        if sc_cases and options.wants("disk_roundtrip"):
-            process = processes["standard-cell"]
-            note(sc_cases[0][0], sc_cases[0][1],
-                 check_disk_roundtrip(sc_cases[0][1], process),
-                 _predicate("disk_roundtrip", process, "standard-cell"))
         # Design-level: every hierarchical case races the portfolio
         # optimizer and must replay bit-identically (same seed, resume
         # from checkpoint, and the serial reference engine).  The check

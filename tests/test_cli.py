@@ -71,6 +71,42 @@ class TestEstimateCommand:
         assert "error:" in capsys.readouterr().err
 
 
+def _unreadable(kind, tmp_path):
+    if kind == "missing":
+        return tmp_path / "nope.v"
+    if kind == "directory":
+        path = tmp_path / "x.v"
+        path.mkdir()
+        return path
+    if kind == "non-utf8":
+        path = tmp_path / "bad.v"
+        path.write_bytes(b"\xff\xfe module m; endmodule \x80")
+        return path
+    return tmp_path / "nope.txt"  # missing, unknown extension
+
+
+class TestUnreadableSchematic:
+    """A schematic that cannot be read is one typed ``error:`` line and
+    exit status 1, never a raw traceback."""
+
+    @pytest.mark.parametrize("command, kind", [
+        (command, kind)
+        for command in ("estimate", "scan", "layout", "compare",
+                        "floorplan", "explain")
+        for kind in ("missing", "directory", "non-utf8",
+                     "missing-unknown-extension")
+        # explain reads a missing path as a suite-module name
+        if not (command == "explain" and kind.startswith("missing"))
+    ])
+    def test_one_error_line(self, command, kind, tmp_path, capsys):
+        path = _unreadable(kind, tmp_path)
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 class TestScanCommand:
     def test_prints_statistics(self, verilog_file, capsys):
         assert main(["scan", str(verilog_file)]) == 0

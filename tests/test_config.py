@@ -10,7 +10,6 @@ class TestValidation:
     def test_defaults_are_paper_behaviour(self):
         config = EstimatorConfig()
         assert config.rows is None
-        assert config.row_spread_mode == "paper"
         assert config.feedthrough_model == "two-component"
         assert config.track_sharing_factor == 1.0
         assert config.net_span_mode == "span"
@@ -21,7 +20,7 @@ class TestValidation:
         [
             {"rows": 0},
             {"max_rows": 0},
-            {"row_spread_mode": "bogus"},
+            {"track_model": "bogus"},
             {"feedthrough_model": "bogus"},
             {"track_sharing_factor": 0.0},
             {"track_sharing_factor": 1.5},

@@ -7,7 +7,10 @@ Cheap invariants that rot silently otherwise:
 * every ``mae`` subcommand registered in :func:`repro.cli.build_parser`
   is mentioned in the README;
 * ``docs/SERVICE.md``'s endpoint list matches the server's ``ROUTES``
-  table exactly — no phantom endpoints, no undocumented ones;
+  table exactly — no phantom endpoints, no undocumented ones — and its
+  wire-settable ``EstimatorConfig`` field list matches ``CONFIG_FIELDS``;
+* the ``ServiceConfig(...)`` signature in ``docs/API.md`` names exactly
+  the dataclass's fields;
 * every ``--flag`` shown next to a ``mae <subcommand>`` invocation in
   the README or ``docs/*.md`` exists on that subcommand's argparse
   parser (or the global parser).
@@ -98,6 +101,41 @@ def test_service_md_endpoint_list_matches_routes():
         f"docs/SERVICE.md endpoints drifted from ROUTES — "
         f"undocumented: {sorted(routes - documented)}, "
         f"phantom: {sorted(documented - routes)}"
+    )
+
+
+def test_service_md_config_fields_match_server():
+    """The ``config`` field list in ``docs/SERVICE.md`` is exactly the
+    server's ``CONFIG_FIELDS``."""
+    from repro.service.server import CONFIG_FIELDS
+
+    text = (REPO_ROOT / "docs" / "SERVICE.md").read_text()
+    match = re.search(r"`EstimatorConfig` fields \((.*?)\)", text, re.S)
+    assert match, "docs/SERVICE.md lost its EstimatorConfig field list"
+    documented = set(re.findall(r"`(\w+)`", match.group(1)))
+    assert documented == set(CONFIG_FIELDS), (
+        f"docs/SERVICE.md config fields drifted from CONFIG_FIELDS — "
+        f"undocumented: {sorted(set(CONFIG_FIELDS) - documented)}, "
+        f"phantom: {sorted(documented - set(CONFIG_FIELDS))}"
+    )
+
+
+def test_api_md_service_config_signature_matches_dataclass():
+    """The ``ServiceConfig(...)`` signature in ``docs/API.md`` names
+    exactly the dataclass's fields."""
+    import dataclasses
+
+    from repro.service.engine import ServiceConfig
+
+    text = (REPO_ROOT / "docs" / "API.md").read_text()
+    match = re.search(r"ServiceConfig\((\w+(?:, \w+)*)\)", text)
+    assert match, "docs/API.md lost its ServiceConfig signature"
+    documented = set(match.group(1).split(", "))
+    fields = {field.name for field in dataclasses.fields(ServiceConfig)}
+    assert documented == fields, (
+        f"docs/API.md ServiceConfig drifted from the dataclass — "
+        f"undocumented: {sorted(fields - documented)}, "
+        f"phantom: {sorted(documented - fields)}"
     )
 
 

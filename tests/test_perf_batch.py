@@ -242,16 +242,6 @@ class TestBenchRecord:
         with pytest.raises(BenchmarkError, match="incremental_vs_rebuild"):
             validate_bench_record({**record, "speedups": speedups})
 
-    def test_spread_kernels_exercise_the_shared_cache(self, record):
-        """Schema v4: the row-spread PMF and expectation kernels must
-        show real cache traffic in the recorded stats — previously both
-        sat at a 0% hit rate because ``tracks_for_net``'s memo absorbed
-        every repeat before the deeper kernels were consulted."""
-        kernels = record["cache"]["kernels"]
-        assert kernels["row_spread_pmf"]["hits"] > 0
-        assert kernels["expected_row_spread"]["hits"] > 0
-        assert record["equivalence"]["spread_mode_collapse"] is True
-
     def test_carries_serve_phase(self, record):
         """Schema v5: the serve-load phase and section are present, the
         served estimates stayed bit-identical, and the service shut

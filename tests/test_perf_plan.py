@@ -63,18 +63,14 @@ class TestPlanBitIdentity:
     @given(
         histogram=histograms,
         rows=st.integers(min_value=1, max_value=64),
-        spread_mode=st.sampled_from(("paper", "exact")),
         feedthrough_model=st.sampled_from(("two-component", "general")),
     )
     def test_plan_matches_direct_estimator(
-        self, histogram, rows, spread_mode, feedthrough_model
+        self, histogram, rows, feedthrough_model
     ):
         process = nmos_process()
         stats = stats_from_histogram(histogram)
-        config = EstimatorConfig(
-            row_spread_mode=spread_mode,
-            feedthrough_model=feedthrough_model,
-        )
+        config = EstimatorConfig(feedthrough_model=feedthrough_model)
         direct = estimate_standard_cell_from_stats(
             stats, process, config.with_rows(rows)
         )
@@ -153,7 +149,7 @@ class TestPlanValidationAndCache:
         second = get_plan(stats, nmos, EstimatorConfig(rows=7))
         assert second is first
         other = get_plan(
-            stats, nmos, EstimatorConfig(row_spread_mode="exact")
+            stats, nmos, EstimatorConfig(feedthrough_model="general")
         )
         assert other is not first
         counters = plan_cache_stats()

@@ -7,6 +7,7 @@ identities, and against Monte-Carlo simulation.
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,18 @@ from hypothesis import strategies as st
 
 from repro.core import probability as prob
 from repro.errors import EstimationError
+
+
+def published_pmf(components: int, rows: int, exponent: int):
+    """Eq. 2 over the denominator ``rows**exponent``, renormalised in
+    exact rationals and rounded once per entry."""
+    weights = [
+        Fraction(math.comb(rows, i) * prob.surjection_count(components, i),
+                 rows ** exponent)
+        for i in range(1, min(rows, components) + 1)
+    ]
+    total = sum(weights)
+    return tuple(float(weight / total) for weight in weights)
 
 
 def stirling2(n: int, k: int) -> int:
@@ -90,24 +103,28 @@ class TestSurjectionRecurrenceOracle:
 
 
 class TestRowSpreadPmf:
-    @given(
-        components=st.integers(1, 10),
-        rows=st.integers(1, 10),
-        mode=st.sampled_from(["paper", "exact"]),
-    )
-    def test_is_a_distribution(self, components, rows, mode):
-        pmf = prob.row_spread_pmf(components, rows, mode)
+    @given(components=st.integers(1, 10), rows=st.integers(1, 10))
+    def test_is_a_distribution(self, components, rows):
+        pmf = prob.row_spread_pmf(components, rows)
         assert len(pmf) == min(rows, components)
         assert all(p >= 0 for p in pmf)
         assert sum(pmf) == pytest.approx(1.0)
 
     @given(components=st.integers(1, 8), rows=st.integers(1, 8))
     def test_modes_agree_when_d_le_n(self, components, rows):
+        # For D <= n the paper's exponent min(n, D) is D itself, so the
+        # printed Eq. 2 weights already sum to one.
         if components <= rows:
-            paper = prob.row_spread_pmf(components, rows, "paper")
-            exact = prob.row_spread_pmf(components, rows, "exact")
-            for a, b in zip(paper, exact):
-                assert a == pytest.approx(b)
+            printed = [
+                Fraction(math.comb(rows, i)
+                         * prob.surjection_count(components, i),
+                         rows ** components)
+                for i in range(1, components + 1)
+            ]
+            assert sum(printed) == 1
+            assert prob.row_spread_pmf(components, rows) == tuple(
+                float(weight) for weight in printed
+            )
 
     def test_single_row_is_certain(self):
         assert prob.row_spread_pmf(5, 1) == (1.0,)
@@ -117,21 +134,17 @@ class TestRowSpreadPmf:
 
     def test_known_value_two_components(self):
         # D=2, n=4: same row with probability 1/4.
-        pmf = prob.row_spread_pmf(2, 4, "exact")
+        pmf = prob.row_spread_pmf(2, 4)
         assert pmf[0] == pytest.approx(0.25)
         assert pmf[1] == pytest.approx(0.75)
 
     def test_exact_matches_simulation(self, rng):
         for components, rows in ((3, 4), (5, 3), (6, 6)):
-            analytic = prob.row_spread_pmf(components, rows, "exact")
+            analytic = prob.row_spread_pmf(components, rows)
             empirical = prob.simulate_row_spread(components, rows, 30_000,
                                                  rng)
             for a, e in zip(analytic, empirical):
                 assert a == pytest.approx(e, abs=0.02)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(EstimationError, match="mode"):
-            prob.row_spread_pmf(2, 2, "bogus")
 
 
 class TestExpectedRowSpread:
@@ -171,23 +184,23 @@ class TestHighFanout:
     kernels normalise the row-spread PMF in integer arithmetic, so no
     float intermediate overflows however large D grows."""
 
-    @given(
-        components=st.integers(1, 1024),
-        rows=st.integers(1, 64),
-        mode=st.sampled_from(["paper", "exact"]),
-    )
-    def test_kernels_stay_finite_and_bounded(self, components, rows, mode):
-        expected = prob.expected_row_spread(components, rows, mode)
+    @given(components=st.integers(1, 1024), rows=st.integers(1, 64))
+    def test_kernels_stay_finite_and_bounded(self, components, rows):
+        expected = prob.expected_row_spread(components, rows)
         assert math.isfinite(expected)
         # The sum of i * P(i) may overshoot min(n, D) by float rounding.
         assert 1.0 <= expected <= min(components, rows) * (1 + 1e-12)
         if components >= 2:
-            assert prob.tracks_for_net(components, rows, mode) >= 1
+            assert prob.tracks_for_net(components, rows) >= 1
 
     @given(components=st.integers(1, 1024), rows=st.integers(1, 64))
     def test_modes_give_bit_identical_pmfs(self, components, rows):
-        assert prob.row_spread_pmf(components, rows, "paper") == \
-            prob.row_spread_pmf(components, rows, "exact")
+        # The paper's n**min(n, D) and the multinomial n**D are
+        # constants that cancel under normalisation: both published
+        # forms are the kernel's PMF, correctly rounded.
+        pmf = prob.row_spread_pmf(components, rows)
+        assert pmf == published_pmf(components, rows, min(rows, components))
+        assert pmf == published_pmf(components, rows, components)
 
 
 class TestTotalExpectedTracks:

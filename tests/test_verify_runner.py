@@ -183,4 +183,4 @@ class TestCheckFilter:
         assert options.wants("anything")
         filtered = VerifyOptions(seeds=1, checks=("plan_vs_direct",))
         assert filtered.wants("plan_vs_direct")
-        assert not filtered.wants("disk_roundtrip")
+        assert not filtered.wants("caches_identity")
